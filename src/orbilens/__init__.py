@@ -7,7 +7,6 @@ asymptotics in :mod:`orbilens.heat`, range sweeps in
 """
 
 from ._version import __version__
-from ._kernels import NUMBA_AVAILABLE, active_backend, set_backend
 from .core import (
     IsometryWitness,
     LensSpace,
@@ -45,6 +44,7 @@ from .search import (
     enumerate_classes,
     find_heat_degenerate,
     isometry_classes,
+    summarize_sweep,
     sweep_stream,
     verify_rigidity,
 )

@@ -1,11 +1,4 @@
-"""Hot integer kernels: invariant-monomial counting by dynamic programming.
-
-Two interchangeable backends compute the same series:
-
-* ``numba`` -- tight @njit loops (default when numba imports cleanly);
-* ``numpy`` -- row-vectorised fallback, selected by setting the
-  environment variable ``ORBILENS_PURE_NUMPY=1`` before import, or at
-  runtime via :func:`set_backend`.
+"""Hot integer kernel: invariant-monomial counting by dynamic programming.
 
 The series counts, per total degree m, the monomials
 ``prod_j x_j^{e_j}`` whose weighted exponent sum is 0 mod q.  Each
@@ -15,85 +8,17 @@ per variable is the coin-change recurrence
 
     count[m][r] += count[m-1][(r - w) mod q]
 
-applied for ascending m.  Counts stay exact in int64; the caller guards
-the overflow bound.
+applied for ascending m, one numpy row at a time.  Counts stay exact in
+int64; degrees that could overflow that range are refused up front.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-from .errors import PreconditionViolated
-
-try:
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-_ENV_FLAG = "ORBILENS_PURE_NUMPY"
-_BACKENDS = ("numba", "numpy")
-
-
-def _env_wants_numpy() -> bool:
-    return os.environ.get(_ENV_FLAG, "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-_backend = "numpy" if (_env_wants_numpy() or not NUMBA_AVAILABLE) else "numba"
-
-
-def active_backend() -> str:
-    return _backend
-
-
-def set_backend(name: str) -> None:
-    """Switch kernel backend ("numba" or "numpy"); mainly for benchmarks/tests."""
-    global _backend
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown backend {name!r}; expected one of {_BACKENDS}")
-    if name == "numba" and not NUMBA_AVAILABLE:
-        raise ValueError("numba backend requested but numba is not importable")
-    _backend = name
-
-
-@njit(cache=True, nogil=True)
-def _series_numba(weights, q, mmax):  # pragma: no cover - measured via dispatch
-    cur = np.zeros((mmax + 1, q), np.int64)
-    cur[0, 0] = 1
-    for vi in range(weights.shape[0]):
-        w = weights[vi] % q
-        for m in range(1, mmax + 1):
-            row = cur[m]
-            prev = cur[m - 1]
-            for r in range(q):
-                rr = r - w
-                if rr < 0:
-                    rr += q
-                row[r] += prev[rr]
-    return cur[:, 0].copy()
-
-
-def _series_numpy(weights, q, mmax):
-    cur = np.zeros((mmax + 1, q), np.int64)
-    cur[0, 0] = 1
-    for w in weights:
-        w = int(w) % q
-        for m in range(1, mmax + 1):
-            cur[m] += np.roll(cur[m - 1], w)
-    return cur[:, 0].copy()
+from .errors import CountingRangeExceeded, PreconditionViolated
 
 
 def invariant_series(weights, q: int, mmax: int) -> np.ndarray:
@@ -107,17 +32,15 @@ def invariant_series(weights, q: int, mmax: int) -> np.ndarray:
         raise PreconditionViolated(f"q must be >= 1, got {q}")
     if mmax < 0:
         raise PreconditionViolated(f"mmax must be >= 0, got {mmax}")
-    w = np.ascontiguousarray(np.asarray(weights, dtype=np.int64) % q)
-    nvars = int(w.shape[0])
-    if nvars == 0:
-        out = np.zeros(mmax + 1, np.int64)
-        out[0] = 1
-        return out
-    # Counts are bounded by unrestricted compositions; keep int64 exact.
-    if math.comb(mmax + nvars - 1, nvars - 1) >= 2**63:
-        raise OverflowError(
-            f"degree {mmax} with {nvars} variables exceeds the int64 counting range"
+    w = np.asarray(weights, dtype=np.int64) % q
+    # Counts are bounded by the unrestricted compositions of mmax.
+    if len(w) and math.comb(mmax + len(w) - 1, len(w) - 1) >= 2**63:
+        raise CountingRangeExceeded(
+            f"degree {mmax} with {len(w)} variables exceeds the int64 counting range"
         )
-    if _backend == "numba":
-        return _series_numba(w, q, mmax)
-    return _series_numpy(w, q, mmax)
+    cur = np.zeros((mmax + 1, q), np.int64)
+    cur[0, 0] = 1
+    for shift in w.tolist():
+        for m in range(1, mmax + 1):
+            cur[m] += np.roll(cur[m - 1], shift)
+    return cur[:, 0].copy()

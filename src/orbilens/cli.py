@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 from typing import Optional
@@ -32,7 +31,7 @@ from ._version import __version__
 from .core import LensSpace, is_isometric, reduce as reduce_space, sphere
 from .errors import InternalInvariant, OrbilensError, PreconditionViolated
 from .heat import heat_expansion_3d
-from .search import SMALL_Q_LIMIT, sweep_stream
+from .search import summarize_sweep, sweep_stream
 from .spectrum import is_isospectral, spectrum_table
 
 EXIT_OK = 0
@@ -97,8 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--threads",
         type=int,
-        default=None,
-        help="worker threads (default: ORBILENS_THREADS or 1)",
+        default=1,
+        help="accepted for compatibility; sweeps run serially and the output "
+        "does not depend on it",
     )
     _add_common(p)
     return parser
@@ -228,11 +228,9 @@ def _cmd_heat(args, tail, out) -> int:
 
 
 def _cmd_sweep(args, tail, out) -> int:
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("ORBILENS_THREADS", "1"))
+    if args.threads < 1:
+        raise PreconditionViolated(f"threads must be >= 1, got {args.threads}")
     started = time.perf_counter()
-    totals = {"spaces": 0, "classes": 0, "pairs": 0, "findings": 0, "small_q": 0}
     csv_writer = None
     if args.format == "csv":
         csv_writer = csv.writer(out, lineterminator="\n")
@@ -242,16 +240,8 @@ def _cmd_sweep(args, tail, out) -> int:
             csv_writer.writerow(
                 ["q", "first", "second", "first_differing_k", "heat_verdict"]
             )
-    for per_q, findings in sweep_stream(
-        args.mode, args.qmin, args.qmax, args.padding, threads
-    ):
-        totals["spaces"] += per_q.spaces
-        totals["classes"] += per_q.classes
-        totals["pairs"] += per_q.pairs
-        if per_q.q < SMALL_Q_LIMIT:
-            totals["small_q"] += per_q.findings
-        else:
-            totals["findings"] += per_q.findings
+    results = []
+    for per_q, findings in sweep_stream(args.mode, args.qmin, args.qmax, args.padding):
         for pair in findings:
             if args.format == "text":
                 tag = pair.heat_verdict or ("ISOSPECTRAL" if pair.isospectral else "")
@@ -286,26 +276,16 @@ def _cmd_sweep(args, tail, out) -> int:
                 [per_q.q, per_q.spaces, per_q.classes, per_q.pairs, per_q.findings]
             )
         out.flush()
-    summary = {
-        "record": "summary",
-        "mode": args.mode,
-        "qmin": args.qmin,
-        "qmax": args.qmax,
-        "padding": args.padding,
-        "dimension": 3 + args.padding,
-        "spaces": totals["spaces"],
-        "classes": totals["classes"],
-        "pairs_checked": totals["pairs"],
-        "findings": totals["findings"],
-        "small_q_findings": totals["small_q"],
-        "version": __version__,
-    }
+        results.append((per_q, findings))
+    summary = records.summary_record(
+        summarize_sweep(args.mode, args.qmin, args.qmax, args.padding, results)
+    )
     if args.format == "text":
         print(
-            f"summary mode={args.mode} q={args.qmin}..{args.qmax} "
-            f"spaces={totals['spaces']} classes={totals['classes']} "
-            f"pairs={totals['pairs']} findings={totals['findings']} "
-            f"small_q_findings={totals['small_q']}",
+            f"summary mode={summary['mode']} q={summary['qmin']}..{summary['qmax']} "
+            f"spaces={summary['spaces']} classes={summary['classes']} "
+            f"pairs={summary['pairs_checked']} findings={summary['findings']} "
+            f"small_q_findings={summary['small_q_findings']}",
             file=out,
         )
     elif args.format == "json-lines":
@@ -339,7 +319,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     out = sys.stdout
     opened = None
     if getattr(args, "out", None):
-        opened = open(args.out, "w", encoding="utf-8")
+        try:
+            opened = open(args.out, "w", encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot open --out file: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         out = opened
     try:
         return _HANDLERS[args.command](args, tail, out)

@@ -53,6 +53,10 @@ class SingularRotation(OrbilensError, ValueError):
     """Rotation angle is an integer multiple of 2*pi; no normal-bundle matrix."""
 
 
+class CountingRangeExceeded(OrbilensError, OverflowError):
+    """Requested degree would overflow the exact int64 counting range."""
+
+
 class PoleEvaluation(OrbilensError, ArithmeticError):
     """Numeric evaluation requested too close to a pole."""
 

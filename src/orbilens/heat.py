@@ -26,7 +26,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 from .core import LensSpace, canonical_form, decompose_singular
 from .errors import (
@@ -290,17 +290,22 @@ def same_heat_expansion(first: LensSpace, second: LensSpace) -> HeatVerdict:
         raise ShapeMismatch(f"group orders differ: {first.q} vs {second.q}")
     if canonical_form(first) == canonical_form(second):
         return HeatVerdict.GUARANTEED_EQUAL
-    q = first.q
-
-    def lemma_applicable(space: LensSpace) -> bool:
-        p1, p2 = space.rotations
-        if p1 % q == p2 % q or (p1 + p2) % q == 0:
-            return False
-        return not space.is_manifold()
-
-    if lemma_applicable(first) and lemma_applicable(second):
-        d1 = decompose_singular(first)
-        d2 = decompose_singular(second)
-        if {d1.alpha, d1.beta} == {d2.alpha, d2.beta} and d1.g == d2.g:
-            return HeatVerdict.GUARANTEED_EQUAL
+    key = _heat_key(first)
+    if key is not None and key == _heat_key(second):
+        return HeatVerdict.GUARANTEED_EQUAL
     return HeatVerdict.UNKNOWN
+
+
+def _heat_key(space: LensSpace) -> Optional[tuple[int, tuple[int, int]]]:
+    """Matching key of the isotropy lemma: (g, sorted(alpha, beta)), or None.
+
+    None when the lemma does not apply: the rotationally degenerate case
+    p_1 = +-p_2 mod q and manifold quotients.  Two same-order spaces
+    with equal keys have equal heat expansions to all orders.
+    """
+    q = space.q
+    p1, p2 = space.rotations
+    if p1 % q == p2 % q or (p1 + p2) % q == 0 or space.is_manifold():
+        return None
+    dec = decompose_singular(space)
+    return dec.g, tuple(sorted((dec.alpha, dec.beta)))

@@ -4,9 +4,9 @@ Enumerates one canonical representative per isometry class for each
 group order, then checks every same-order pair: either asserting that
 distinct classes are never isospectral (rigidity sweep) or collecting
 pairs whose heat-trace expansions provably agree while their spectra
-differ (degeneracy sweep).  Orders are independent work units, so sweeps
-parallelise across a thread pool; results are merged in ascending order
-and are byte-identical regardless of worker count.
+differ (degeneracy sweep).  Orders are independent work units, swept
+one at a time in ascending order; :func:`summarize_sweep` folds the
+per-order results into the totals for the library and the CLI alike.
 
 Orders below 8 sit outside the classical hypotheses of the rigidity
 statements and are flagged separately instead of being counted as
@@ -15,16 +15,14 @@ counterexamples.
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from .core import IsometryWitness, LensSpace, sphere, units
 from .errors import PreconditionViolated, UnsupportedRank
-from .heat import HeatVerdict, same_heat_expansion
+from .heat import HeatVerdict, _heat_key
 from .spectrum import is_isospectral, multiplicity_series
 
 __all__ = [
@@ -34,6 +32,7 @@ __all__ = [
     "enumerate_classes",
     "isometry_classes",
     "sweep_stream",
+    "summarize_sweep",
     "verify_rigidity",
     "find_heat_degenerate",
     "SMALL_Q_LIMIT",
@@ -57,7 +56,6 @@ class PairReport:
     isospectral: bool
     first_differing_k: Optional[int]
     heat_verdict: Optional[str] = None
-    timing: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -82,7 +80,6 @@ class SweepSummary:
     findings: tuple[PairReport, ...]
     small_q_findings: tuple[PairReport, ...]
     per_q: tuple[PerQ, ...]
-    wall_clock: Optional[float] = None
 
 
 def _reduced_pairs(q: int) -> np.ndarray:
@@ -160,14 +157,16 @@ def _rigidity_slice(q: int, padding: int) -> tuple[PerQ, list[PairReport]]:
 
 
 def _heat_slice(q: int, padding: int) -> tuple[PerQ, list[PairReport]]:
+    # Distinct class representatives are never isometric, so the heat
+    # verdict of a pair reduces to comparing their matching keys.
     classes, spaces = isometry_classes(q, padding)
+    keys = [_heat_key(c) for c in classes]
     findings = []
     pairs = 0
     for i in range(len(classes)):
         for j in range(i + 1, len(classes)):
             pairs += 1
-            verdict = same_heat_expansion(classes[i], classes[j])
-            if verdict is not HeatVerdict.GUARANTEED_EQUAL:
+            if keys[i] is None or keys[i] != keys[j]:
                 continue
             decision = is_isospectral(classes[i], classes[j])
             if decision.isospectral:
@@ -180,48 +179,43 @@ def _heat_slice(q: int, padding: int) -> tuple[PerQ, list[PairReport]]:
                     witness=None,
                     isospectral=False,
                     first_differing_k=decision.first_differing_k,
-                    heat_verdict=verdict.value,
+                    heat_verdict=HeatVerdict.GUARANTEED_EQUAL.value,
                 )
             )
     return PerQ(q, spaces, len(classes), pairs, len(findings)), findings
 
 
 def sweep_stream(
-    mode: str, qmin: int, qmax: int, padding: int = 0, threads: int = 1
+    mode: str, qmin: int, qmax: int, padding: int = 0
 ) -> Iterator[tuple[PerQ, list[PairReport]]]:
-    """Per-order results in ascending order, yielded as they complete.
-
-    Work units are whole orders; with several threads the next order is
-    yielded as soon as it is ready, so consumers see a deterministic
-    stream regardless of worker count.
-    """
+    """Per-order results in ascending order, yielded one order at a time."""
     _check_range(qmin, qmax, 2, padding)
-    if threads < 1:
-        raise PreconditionViolated(f"threads must be >= 1, got {threads}")
     if mode == "rigidity":
         worker = _rigidity_slice
     elif mode == "heat-degenerate":
         worker = _heat_slice
     else:
         raise PreconditionViolated(f"unknown sweep mode {mode!r}")
-    qs = list(range(qmin, qmax + 1))
-    if threads == 1 or len(qs) == 1:
-        for q in qs:
-            yield worker(q, padding)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {q: pool.submit(worker, q, padding) for q in qs}
-        for q in qs:
-            yield futures[q].result()
+    for q in range(qmin, qmax + 1):
+        yield worker(q, padding)
 
 
-def _sweep(mode: str, qmin: int, qmax: int, padding: int, threads: int) -> SweepSummary:
-    started = time.perf_counter()
-    results = list(sweep_stream(mode, qmin, qmax, padding, threads))
-    per_q = tuple(r[0] for r in results)
+def summarize_sweep(
+    mode: str,
+    qmin: int,
+    qmax: int,
+    padding: int,
+    results: Iterable[tuple[PerQ, list[PairReport]]],
+) -> SweepSummary:
+    """Fold per-order results (as from :func:`sweep_stream`) into totals.
+
+    Findings at orders below SMALL_Q_LIMIT are kept apart.
+    """
+    per_q = []
     findings = []
     small = []
     for slice_summary, reports in results:
+        per_q.append(slice_summary)
         target = small if slice_summary.q < SMALL_Q_LIMIT else findings
         target.extend(reports)
     return SweepSummary(
@@ -235,24 +229,25 @@ def _sweep(mode: str, qmin: int, qmax: int, padding: int, threads: int) -> Sweep
         pairs_checked=sum(p.pairs for p in per_q),
         findings=tuple(findings),
         small_q_findings=tuple(small),
-        per_q=per_q,
-        wall_clock=time.perf_counter() - started,
+        per_q=tuple(per_q),
     )
 
 
-def verify_rigidity(
-    qmin: int, qmax: int, padding: int = 0, threads: int = 1
-) -> SweepSummary:
+def _sweep(mode: str, qmin: int, qmax: int, padding: int) -> SweepSummary:
+    return summarize_sweep(
+        mode, qmin, qmax, padding, sweep_stream(mode, qmin, qmax, padding)
+    )
+
+
+def verify_rigidity(qmin: int, qmax: int, padding: int = 0) -> SweepSummary:
     """Assert that distinct same-order classes are never isospectral.
 
     Findings are isospectral non-isometric pairs; none are expected at
     any order, and orders below SMALL_Q_LIMIT are tallied apart.
     """
-    return _sweep("rigidity", qmin, qmax, padding, threads)
+    return _sweep("rigidity", qmin, qmax, padding)
 
 
-def find_heat_degenerate(
-    qmin: int, qmax: int, padding: int = 0, threads: int = 1
-) -> SweepSummary:
+def find_heat_degenerate(qmin: int, qmax: int, padding: int = 0) -> SweepSummary:
     """Collect non-isospectral pairs with provably equal heat expansions."""
-    return _sweep("heat-degenerate", qmin, qmax, padding, threads)
+    return _sweep("heat-degenerate", qmin, qmax, padding)

@@ -27,6 +27,7 @@ import numpy as np
 from . import _kernels
 from .core import LensSpace
 from .errors import (
+    CountingRangeExceeded,
     DimensionMismatch,
     InternalInvariant,
     NotADivisor,
@@ -73,7 +74,12 @@ def _invariant_counts(q: int, rotations: tuple[int, ...], padding: int, upto: in
 
 def _counts(space: LensSpace, upto: int) -> np.ndarray:
     bucket = ((upto // _BUCKET) + 1) * _BUCKET
-    return _invariant_counts(space.q, space.rotations, space.padding, bucket)
+    try:
+        return _invariant_counts(space.q, space.rotations, space.padding, bucket)
+    except CountingRangeExceeded:
+        # Count no deeper than asked, so an out-of-range request is
+        # reported at the requested degree.
+        return _invariant_counts(space.q, space.rotations, space.padding, upto)
 
 
 def multiplicity(space: LensSpace, k: int) -> int:
@@ -92,6 +98,8 @@ def multiplicity(space: LensSpace, k: int) -> int:
 
 def multiplicity_series(space: LensSpace, kmax: int) -> np.ndarray:
     """Multiplicities for k = 0..kmax as an int64 array."""
+    if kmax < 0:
+        raise PreconditionViolated(f"kmax must be >= 0, got {kmax}")
     counts = _counts(space, kmax)[: kmax + 1]
     mult = counts.copy()
     mult[2:] -= counts[:-2]

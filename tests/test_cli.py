@@ -63,6 +63,23 @@ class TestSpectrumCommand:
         assert code == 0 and out == ""
         assert target.read_text().startswith("k,eigenvalue,multiplicity")
 
+    def test_unopenable_out_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "rows.csv"
+        code, out, err = run_cli(capsys, "spectrum", "7", "1", "2", "--out", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_negative_kmax_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "spectrum", "7", "1", "2", "--kmax", "-3")
+        assert code == 2 and out == ""
+        assert "kmax" in err
+
+    def test_kmax_beyond_counting_range_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "spectrum", "7", "1", "2", "--kmax", "5000000")
+        assert code == 2 and out == ""
+        assert err.startswith("error: degree 5000000 ")
+
 
 class TestPairCommands:
     def test_isometric_yes_with_witness(self, capsys):
@@ -193,6 +210,11 @@ class TestSweepCommand:
         )
         lines = out.splitlines()
         assert lines[0] == "q,first,second,first_differing_k,heat_verdict"
+
+    def test_threads_below_one_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "8", "10", "--threads", "0")
+        assert code == 2 and out == ""
+        assert "threads" in err
 
     def test_stdout_identical_across_thread_counts(self, capsys):
         _, out1, _ = run_cli(

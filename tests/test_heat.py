@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from orbilens.core import LensSpace, reduce
+from orbilens.core import LensSpace, decompose_singular, is_isometric, reduce
 from orbilens.errors import (
     PreconditionViolated,
     ShapeMismatch,
@@ -20,6 +20,7 @@ from orbilens.heat import (
     csc4_sum,
     donnelly_b_matrix,
     heat_expansion_3d,
+    _heat_key,
     same_heat_expansion,
     stratum_b01,
     stratum_cot_sums,
@@ -222,6 +223,34 @@ class TestSameHeatExpansion:
                         if s not in expansions:
                             expansions[s] = heat_expansion_3d(s).coefficients()
                     assert expansions[a] == expansions[b], (a, b)
+
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_class_keys_decide_like_same_heat_expansion(self, padding):
+        # The heat sweep compares the keys of class representatives in
+        # place of same_heat_expansion, which is sound only because
+        # distinct representatives are never isometric.
+        def lemma_matches(a, b):
+            # the isotropy lemma's criterion, written out independently
+            def applies(s):
+                p1, p2 = s.rotations
+                return p1 != p2 and (p1 + p2) % s.q != 0 and math.gcd(p1 * p2, s.q) > 1
+
+            if not (applies(a) and applies(b)):
+                return False
+            da, db = decompose_singular(a), decompose_singular(b)
+            return da.g == db.g and {da.alpha, da.beta} == {db.alpha, db.beta}
+
+        for q in range(1, 41):
+            classes, _ = isometry_classes(q, padding)
+            keys = [_heat_key(c) for c in classes]
+            for i, a in enumerate(classes):
+                for j in range(i + 1, len(classes)):
+                    b = classes[j]
+                    assert is_isometric(a, b) is None, (a, b)
+                    by_key = keys[i] is not None and keys[i] == keys[j]
+                    verdict = same_heat_expansion(a, b)
+                    assert by_key == (verdict is HeatVerdict.GUARANTEED_EQUAL), (a, b)
+                    assert by_key == lemma_matches(a, b), (a, b)
 
     @given(reduced_spaces(qmax=40), reduced_spaces(qmax=40))
     @settings(max_examples=40, deadline=None)

@@ -1,52 +1,6 @@
-import os
-import subprocess
-import sys
-
-import numpy as np
 import pytest
 
 from orbilens import _kernels
-
-
-@pytest.mark.skipif(not _kernels.NUMBA_AVAILABLE, reason="numba not installed")
-def test_backends_agree():
-    rng = np.random.default_rng(7)
-    for _ in range(25):
-        q = int(rng.integers(1, 40))
-        nvars = int(rng.integers(1, 6))
-        weights = rng.integers(0, q, size=nvars)
-        mmax = int(rng.integers(0, 120))
-        a = _kernels._series_numba(np.asarray(weights, np.int64), q, mmax)
-        b = _kernels._series_numpy(weights, q, mmax)
-        assert np.array_equal(a, b)
-
-
-def test_dispatch_respects_set_backend():
-    before = _kernels.active_backend()
-    try:
-        _kernels.set_backend("numpy")
-        assert _kernels.active_backend() == "numpy"
-        out = _kernels.invariant_series([1, 6, 0], 7, 10)
-        assert out[0] == 1
-    finally:
-        _kernels.set_backend(before)
-
-
-def test_set_backend_rejects_unknown():
-    with pytest.raises(ValueError):
-        _kernels.set_backend("fortran")
-
-
-def test_env_flag_selects_numpy_fallback():
-    code = (
-        "import orbilens._kernels as k; print(k.active_backend())"
-    )
-    env = dict(os.environ, ORBILENS_PURE_NUMPY="1")
-    res = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "numpy"
 
 
 def test_overflow_guard():

@@ -95,17 +95,6 @@ class TestVerifyRigidity:
         assert summary.findings == ()
         assert summary.dimension == 4
 
-    def test_thread_count_does_not_change_results(self):
-        s1 = verify_rigidity(8, 30, threads=1)
-        s4 = verify_rigidity(8, 30, threads=4)
-        assert s1.per_q == s4.per_q
-        assert s1.findings == s4.findings
-        assert (s1.spaces, s1.classes, s1.pairs_checked) == (
-            s4.spaces,
-            s4.classes,
-            s4.pairs_checked,
-        )
-
     def test_isometric_members_share_spectrum(self):
         # spot re-verification: members of one class agree with their
         # representative through k = 100

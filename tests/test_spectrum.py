@@ -75,6 +75,13 @@ class TestMultiplicity:
             total = int(multiplicity_series(space, 100).sum())
             assert 0.5 * sphere_sum / q <= total <= 2.0 * sphere_sum / q
 
+    def test_negative_degree_rejected(self):
+        space = reduce(7, [1, 2])
+        with pytest.raises(PreconditionViolated):
+            multiplicity(space, -1)
+        with pytest.raises(PreconditionViolated):
+            multiplicity_series(space, -3)
+
 
 class TestSpectrumTable:
     def test_eigenvalue_ladder_3d(self):
