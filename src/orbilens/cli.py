@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 import time
@@ -317,16 +318,22 @@ def main(argv: Optional[list[str]] = None) -> int:
         code = exc.code
         return EXIT_OK if code in (0, None) else int(code)
     out = sys.stdout
-    opened = None
     if getattr(args, "out", None):
+        # Appending checks that the file can be written without touching
+        # its contents; the output is buffered and replaces them only
+        # when the command succeeds.
         try:
-            opened = open(args.out, "w", encoding="utf-8")
+            open(args.out, "a", encoding="utf-8").close()
         except OSError as exc:
             print(f"error: cannot open --out file: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        out = opened
+        out = io.StringIO()
     try:
-        return _HANDLERS[args.command](args, tail, out)
+        code = _HANDLERS[args.command](args, tail, out)
+        if out is not sys.stdout:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(out.getvalue())
+        return code
     except InternalInvariant as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
@@ -336,9 +343,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    finally:
-        if opened is not None:
-            opened.close()
 
 
 if __name__ == "__main__":

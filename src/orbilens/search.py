@@ -158,9 +158,16 @@ def _rigidity_slice(q: int, padding: int) -> tuple[PerQ, list[PairReport]]:
 
 def _heat_slice(q: int, padding: int) -> tuple[PerQ, list[PairReport]]:
     # Distinct class representatives are never isometric, so the heat
-    # verdict of a pair reduces to comparing their matching keys.
+    # verdict of a pair reduces to comparing their matching keys.  Only
+    # classes with a key can match; each is fingerprinted once through
+    # the certifying depth 2nq + 2 of is_isospectral.
     classes, spaces = isometry_classes(q, padding)
     keys = [_heat_key(c) for c in classes]
+    bound = 4 * q + 2
+    series = [
+        None if key is None else multiplicity_series(c, bound)
+        for c, key in zip(classes, keys)
+    ]
     findings = []
     pairs = 0
     for i in range(len(classes)):
@@ -168,8 +175,8 @@ def _heat_slice(q: int, padding: int) -> tuple[PerQ, list[PairReport]]:
             pairs += 1
             if keys[i] is None or keys[i] != keys[j]:
                 continue
-            decision = is_isospectral(classes[i], classes[j])
-            if decision.isospectral:
+            differ = np.flatnonzero(series[i] != series[j])
+            if differ.size == 0:
                 continue
             findings.append(
                 PairReport(
@@ -178,7 +185,7 @@ def _heat_slice(q: int, padding: int) -> tuple[PerQ, list[PairReport]]:
                     isometric=False,
                     witness=None,
                     isospectral=False,
-                    first_differing_k=decision.first_differing_k,
+                    first_differing_k=int(differ[0]),
                     heat_verdict=HeatVerdict.GUARANTEED_EQUAL.value,
                 )
             )

@@ -4,10 +4,14 @@ The eigenvalue ladder of the quotient is indexed by the harmonic degree
 k: the eigenvalue is k(k + d - 1) on an ambient sphere of dimension d,
 and its multiplicity is the dimension of the group-invariant harmonic
 polynomials of degree k.  That dimension is computed exactly by integer
-lattice-point counting: invariant monomials of degree m are exponent
-tuples (a_1, b_1, .., a_n, b_n, c_1, .., c_W) with
-sum p_i (a_i - b_i) = 0 mod q, and the harmonic dimension is the
-difference of consecutive even-shifted counts.  No floating point enters
+counting: invariant monomials of degree m are exponent tuples
+(a_1, b_1, .., a_n, b_n, c_1, .., c_W) with sum p_i (a_i - b_i) = 0 mod q,
+and the harmonic dimension is the difference of consecutive even-shifted
+counts.  For two rotation blocks (dimensions 3 and 4 at padding 0 and 1)
+the counts come from the 1-norm counts of the congruence lattice
+{(u, v) : p_1 u + p_2 v = 0 mod q} (:func:`orbilens._kernels.lattice_series`);
+any other number of blocks goes through the dynamic program
+:func:`orbilens._kernels.invariant_series`.  No floating point enters
 the exact path; the closed-form complex sum over group elements is kept
 only as a numeric cross-check (:func:`evaluate_F`) and for residues.
 """
@@ -19,7 +23,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
@@ -27,7 +30,6 @@ import numpy as np
 from . import _kernels
 from .core import LensSpace
 from .errors import (
-    CountingRangeExceeded,
     DimensionMismatch,
     InternalInvariant,
     NotADivisor,
@@ -56,30 +58,12 @@ __all__ = [
     "order_spectrum",
 ]
 
-_BUCKET = 256
-
-
-@lru_cache(maxsize=4096)
-def _invariant_counts(q: int, rotations: tuple[int, ...], padding: int, upto: int):
-    """Counts of invariant monomials per total degree 0..upto (cached)."""
-    weights = []
-    for p in rotations:
-        weights.append(p % q)
-        weights.append((-p) % q)
-    weights.extend([0] * padding)
-    arr = _kernels.invariant_series(np.asarray(weights, dtype=np.int64), q, upto)
-    arr.flags.writeable = False
-    return arr
-
-
-def _counts(space: LensSpace, upto: int) -> np.ndarray:
-    bucket = ((upto // _BUCKET) + 1) * _BUCKET
-    try:
-        return _invariant_counts(space.q, space.rotations, space.padding, bucket)
-    except CountingRangeExceeded:
-        # Count no deeper than asked, so an out-of-range request is
-        # reported at the requested degree.
-        return _invariant_counts(space.q, space.rotations, space.padding, upto)
+def _invariant_counts(space: LensSpace, upto: int) -> np.ndarray:
+    """Counts of invariant monomials per total degree 0..upto."""
+    if space.n == 2:
+        return _kernels.lattice_series(*space.rotations, space.q, space.padding, upto)
+    weights = [w for p in space.rotations for w in (p, -p)] + [0] * space.padding
+    return _kernels.invariant_series(weights, space.q, upto)
 
 
 def multiplicity(space: LensSpace, k: int) -> int:
@@ -91,7 +75,7 @@ def multiplicity(space: LensSpace, k: int) -> int:
     """
     if k < 0:
         raise PreconditionViolated(f"k must be >= 0, got {k}")
-    counts = _counts(space, k)
+    counts = _invariant_counts(space, k)
     below = int(counts[k - 2]) if k >= 2 else 0
     return int(counts[k]) - below
 
@@ -100,7 +84,7 @@ def multiplicity_series(space: LensSpace, kmax: int) -> np.ndarray:
     """Multiplicities for k = 0..kmax as an int64 array."""
     if kmax < 0:
         raise PreconditionViolated(f"kmax must be >= 0, got {kmax}")
-    counts = _counts(space, kmax)[: kmax + 1]
+    counts = _invariant_counts(space, kmax)
     mult = counts.copy()
     mult[2:] -= counts[:-2]
     return mult

@@ -80,6 +80,29 @@ class TestSpectrumCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: degree 5000000 ")
 
+    def test_usage_error_leaves_out_file_untouched(self, capsys, tmp_path):
+        target = tmp_path / "keep.txt"
+        target.write_bytes(b"keep\n")
+        for argv in (
+            ["spectrum", "0", "1", "1"],
+            ["spectrum", "7", "1", "2", "--kmax", "-3"],
+            ["sweep", "10", "5", "--format", "csv"],
+        ):
+            code, out, err = run_cli(capsys, *argv, "--out", str(target))
+            assert code == 2 and out == "" and err.startswith("error: ")
+            assert target.read_bytes() == b"keep\n"
+
+    def test_one_block_table_beyond_cell_limit_exits_2(self, capsys, monkeypatch):
+        import numpy as np
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the counting table was allocated")
+
+        monkeypatch.setattr(np, "zeros", refuse)
+        code, out, err = run_cli(capsys, "spectrum", "400", "1", "--kmax", "100000000")
+        assert code == 2 and out == ""
+        assert err.startswith("error: degree 100000000 ") and "cell limit" in err
+
 
 class TestPairCommands:
     def test_isometric_yes_with_witness(self, capsys):
