@@ -28,7 +28,8 @@ the coin-change dynamic program
 
 applied for ascending m, one numpy row of q residues at a time.  It
 serves one rotation block, three or more, and weight vectors given
-directly; its (mmax + 1) x q table is capped at MAX_TABLE_CELLS.
+directly; its (mmax + 1) x q table is capped at MAX_TABLE_CELLS, and so
+is (mmax + 1) x variables for both kernels.
 """
 
 from __future__ import annotations
@@ -39,7 +40,9 @@ import numpy as np
 
 from .errors import CountingRangeExceeded, PreconditionViolated
 
-# Largest (mmax + 1) * q table the dynamic program allocates: 128 MiB of int64.
+# Largest counting table, in int64 cells (128 MiB): the dynamic program's
+# (mmax + 1) x q residues, and (mmax + 1) x variables for any count, which
+# bounds the per-variable passes of both kernels.
 MAX_TABLE_CELLS = 1 << 24
 
 
@@ -48,6 +51,11 @@ def _check_range(q: int, mmax: int, nvars: int) -> None:
         raise PreconditionViolated(f"q must be >= 1, got {q}")
     if mmax < 0:
         raise PreconditionViolated(f"mmax must be >= 0, got {mmax}")
+    if (mmax + 1) * nvars > MAX_TABLE_CELLS:
+        raise CountingRangeExceeded(
+            f"degree {mmax} with {nvars} variables needs {mmax + 1} x {nvars} "
+            f"counting cells, above the {MAX_TABLE_CELLS} cell limit"
+        )
     # Counts are bounded by the unrestricted compositions of mmax.
     if nvars and math.comb(mmax + nvars - 1, nvars - 1) >= 2**63:
         raise CountingRangeExceeded(

@@ -1,12 +1,14 @@
 """Exhaustive desk-scale sweeps over lens-space quotients.
 
 Enumerates one canonical representative per isometry class for each
-group order, then checks every same-order pair: either asserting that
-distinct classes are never isospectral (rigidity sweep) or collecting
-pairs whose heat-trace expansions provably agree while their spectra
-differ (degeneracy sweep).  Orders are independent work units, swept
-one at a time in ascending order; :func:`summarize_sweep` folds the
-per-order results into the totals for the library and the CLI alike.
+group order, then pairs same-order classes through key buckets: classes
+sharing a spectral fingerprint are the isospectral pairs (rigidity
+sweep, where none are expected), and classes sharing a heat matching key
+whose spectra differ are the heat-degenerate pairs (degeneracy sweep).
+All C(classes, 2) pairs are decided, but only bucket-mates are touched.
+Orders are independent work units, swept one at a time in ascending
+order; :func:`summarize_sweep` folds the per-order results into the
+totals for the library and the CLI alike.
 
 Orders below 8 sit outside the classical hypotheses of the rigidity
 statements and are flagged separately instead of being counted as
@@ -16,14 +18,16 @@ counterexamples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from itertools import combinations
+from math import comb
+from typing import Hashable, Iterable, Iterator, Optional
 
 import numpy as np
 
 from .core import IsometryWitness, LensSpace, sphere, units
 from .errors import PreconditionViolated, UnsupportedRank
 from .heat import HeatVerdict, _heat_key
-from .spectrum import is_isospectral, multiplicity_series
+from .spectrum import multiplicity_series
 
 __all__ = [
     "PairReport",
@@ -36,13 +40,17 @@ __all__ = [
     "verify_rigidity",
     "find_heat_degenerate",
     "SMALL_Q_LIMIT",
+    "MAX_SWEEP_ORDER",
 ]
 
 # Orders with q0 = floor(q/2) (even) or (q-1)/2 (odd) below 4 are reported
 # separately from the rigidity count.
 SMALL_Q_LIMIT = 8
 
-_CHUNK = 4096
+# Largest order a sweep accepts: one order keeps every class fingerprint,
+# classes x (4q + 3) int64, in memory; about 400 MB peak RSS at the worst
+# orders up to this cap.
+MAX_SWEEP_ORDER = 4096
 
 
 @dataclass(frozen=True)
@@ -82,35 +90,49 @@ class SweepSummary:
     per_q: tuple[PerQ, ...]
 
 
-def _reduced_pairs(q: int) -> np.ndarray:
-    """All reduced rotation pairs (p1 <= p2) for order q, as an (T, 2) array."""
-    p1, p2 = np.meshgrid(np.arange(1, q), np.arange(1, q), indexing="ij")
-    keep = (p1 <= p2) & (np.gcd(np.gcd(p1, p2), q) == 1)
-    return np.stack([p1[keep], p2[keep]], axis=1).astype(np.int64)
-
-
 def isometry_classes(q: int, padding: int = 0) -> tuple[list[LensSpace], int]:
     """Canonical class representatives for one order, plus the raw space count.
 
-    Canonicalisation minimises the sorted sign-folded rotation vector
-    over all unit multipliers; the scan is batched over numpy chunks.
+    Scans the sign-folded sorted pairs 1 <= a <= b <= q // 2 with
+    gcd(a, b, q) = 1 in ascending order.  The first pair not yet marked
+    is the smallest member of its orbit, hence the :func:`canonical_form`
+    representative; it is emitted and its whole orbit under the units
+    is marked in one vectorised step, so the cost is classes x units.
     """
     if q == 1:
         return [sphere(2, padding)], 1
-    tuples = _reduced_pairs(q)
+    h = q // 2
+    a, b = np.ogrid[: h + 1, : h + 1]
+    todo = (0 < a) & (a <= b) & (np.gcd(np.gcd(a, q), b) == 1)
+    flat = todo.ravel()
     ls = np.asarray(units(q), dtype=np.int64)
-    keys = []
-    for lo in range(0, tuples.shape[0], _CHUNK):
-        chunk = tuples[lo : lo + _CHUNK]
-        orbit = (ls[:, None, None] * chunk[None, :, :]) % q
-        orbit = np.minimum(orbit, q - orbit)
-        orbit.sort(axis=2)
-        keys.append((orbit[..., 0] * (q + 1) + orbit[..., 1]).min(axis=0))
-    canon = np.unique(np.concatenate(keys))
-    classes = [
-        LensSpace(q, (int(k // (q + 1)), int(k % (q + 1))), padding) for k in canon
-    ]
-    return classes, int(tuples.shape[0])
+    classes = []
+    at = 0
+    while True:
+        at += int(flat[at:].argmax())
+        if not flat[at]:
+            break
+        p1, p2 = divmod(at, h + 1)
+        classes.append(LensSpace(q, (p1, p2), padding))
+        x, y = ls * p1 % q, ls * p2 % q
+        x, y = np.minimum(x, q - x), np.minimum(y, q - y)
+        todo[np.minimum(x, y), np.maximum(x, y)] = False
+    return classes, _reduced_pair_count(q, len(ls))
+
+
+def _reduced_pair_count(q: int, phi: int) -> int:
+    """Rotation pairs 1 <= p1 <= p2 < q with gcd(p1, p2, q) = 1.
+
+    Of the J_2(q) = q^2 prod_{p | q} (1 - p^-2) pairs in Z_q^2 with gcd 1
+    (Jordan's totient), 2 phi(q) have a zero entry and phi(q) are diagonal.
+    """
+    j2, rest = q * q, q
+    for p in range(2, q + 1):
+        if rest % p == 0:
+            j2 -= j2 // (p * p)
+            while rest % p == 0:
+                rest //= p
+    return (j2 - phi) // 2
 
 
 def enumerate_classes(
@@ -130,66 +152,53 @@ def _check_range(qmin: int, qmax: int, n: int, padding: int) -> None:
         raise PreconditionViolated(f"padding must be 0 or 1, got {padding}")
     if not 1 <= qmin <= qmax:
         raise PreconditionViolated(f"invalid order range [{qmin}, {qmax}]")
+    if qmax > MAX_SWEEP_ORDER:
+        raise PreconditionViolated(
+            f"order {qmax} exceeds the sweep limit of {MAX_SWEEP_ORDER}"
+        )
+
+
+def _bucket_pairs(keys: Iterable[Optional[Hashable]]) -> list[tuple[int, int]]:
+    """Index pairs i < j with equal keys, skipping None keys, ascending."""
+    buckets: dict[Hashable, list[int]] = {}
+    for i, key in enumerate(keys):
+        if key is not None:
+            buckets.setdefault(key, []).append(i)
+    return sorted(pair for members in buckets.values() for pair in combinations(members, 2))
 
 
 def _rigidity_slice(q: int, padding: int) -> tuple[PerQ, list[PairReport]]:
+    # Fingerprints run through the certifying depth 2nq + 2 of
+    # is_isospectral, so a fingerprint bucket holds isospectral classes.
     classes, spaces = isometry_classes(q, padding)
-    bound = 4 * q + 2
-    series = [multiplicity_series(c, bound) for c in classes]
-    findings = []
-    pairs = 0
-    for i in range(len(classes)):
-        for j in range(i + 1, len(classes)):
-            pairs += 1
-            if np.array_equal(series[i], series[j]):
-                decision = is_isospectral(classes[i], classes[j])
-                findings.append(
-                    PairReport(
-                        classes[i],
-                        classes[j],
-                        isometric=False,
-                        witness=None,
-                        isospectral=True,
-                        first_differing_k=decision.first_differing_k,
-                    )
-                )
-    return PerQ(q, spaces, len(classes), pairs, len(findings)), findings
+    pairs = _bucket_pairs(multiplicity_series(c, 4 * q + 2).tobytes() for c in classes)
+    findings = [
+        PairReport(classes[i], classes[j], isometric=False, witness=None,
+                   isospectral=True, first_differing_k=None)
+        for i, j in pairs
+    ]
+    return PerQ(q, spaces, len(classes), comb(len(classes), 2), len(findings)), findings
 
 
 def _heat_slice(q: int, padding: int) -> tuple[PerQ, list[PairReport]]:
     # Distinct class representatives are never isometric, so the heat
-    # verdict of a pair reduces to comparing their matching keys.  Only
-    # classes with a key can match; each is fingerprinted once through
-    # the certifying depth 2nq + 2 of is_isospectral.
+    # verdict of a pair reduces to comparing their matching keys.  Each
+    # class sharing its key is fingerprinted once through the certifying
+    # depth 2nq + 2 of is_isospectral.
     classes, spaces = isometry_classes(q, padding)
-    keys = [_heat_key(c) for c in classes]
-    bound = 4 * q + 2
-    series = [
-        None if key is None else multiplicity_series(c, bound)
-        for c, key in zip(classes, keys)
-    ]
+    pairs = _bucket_pairs(_heat_key(c) for c in classes)
+    keyed = {i for pair in pairs for i in pair}
+    series = {i: multiplicity_series(classes[i], 4 * q + 2) for i in keyed}
     findings = []
-    pairs = 0
-    for i in range(len(classes)):
-        for j in range(i + 1, len(classes)):
-            pairs += 1
-            if keys[i] is None or keys[i] != keys[j]:
-                continue
-            differ = np.flatnonzero(series[i] != series[j])
-            if differ.size == 0:
-                continue
+    for i, j in pairs:
+        differ = np.flatnonzero(series[i] != series[j])
+        if differ.size:
             findings.append(
-                PairReport(
-                    classes[i],
-                    classes[j],
-                    isometric=False,
-                    witness=None,
-                    isospectral=False,
-                    first_differing_k=int(differ[0]),
-                    heat_verdict=HeatVerdict.GUARANTEED_EQUAL.value,
-                )
+                PairReport(classes[i], classes[j], isometric=False, witness=None,
+                           isospectral=False, first_differing_k=int(differ[0]),
+                           heat_verdict=HeatVerdict.GUARANTEED_EQUAL.value)
             )
-    return PerQ(q, spaces, len(classes), pairs, len(findings)), findings
+    return PerQ(q, spaces, len(classes), comb(len(classes), 2), len(findings)), findings
 
 
 def sweep_stream(

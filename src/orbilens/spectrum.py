@@ -56,10 +56,18 @@ __all__ = [
     "residue_case3",
     "pole_order",
     "order_spectrum",
+    "MAX_TABLE_ROWS",
 ]
+
+# Largest table spectrum_table builds, one SpectrumRow per degree: about
+# 60 MB peak RSS for a CLI spectrum at this size.
+MAX_TABLE_ROWS = 100_000
+
 
 def _invariant_counts(space: LensSpace, upto: int) -> np.ndarray:
     """Counts of invariant monomials per total degree 0..upto."""
+    # Checked before a huge padding turns into a huge weight list.
+    _kernels._check_range(space.q, upto, 2 * space.n + space.padding)
     if space.n == 2:
         return _kernels.lattice_series(*space.rotations, space.q, space.padding, upto)
     weights = [w for p in space.rotations for w in (p, -p)] + [0] * space.padding
@@ -115,6 +123,13 @@ def spectrum_table(space: LensSpace, kmax: int) -> SpectrumTable:
     Rows with multiplicity 0 are retained; they certify eigenvalues that
     are absent from the quotient's spectrum.
     """
+    if kmax >= MAX_TABLE_ROWS:
+        # A degree beyond the counting limits is reported as such.
+        _kernels._check_range(space.q, kmax, 2 * space.n + space.padding)
+        raise PreconditionViolated(
+            f"degree {kmax} needs {kmax + 1} table rows, above the "
+            f"{MAX_TABLE_ROWS} row limit"
+        )
     mult = multiplicity_series(space, kmax)
     rows = tuple(
         SpectrumRow(k, eigenvalue(space, k), int(mult[k])) for k in range(kmax + 1)

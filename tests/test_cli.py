@@ -104,6 +104,22 @@ class TestSpectrumCommand:
         assert err.startswith("error: degree 100000000 ") and "cell limit" in err
 
 
+    def test_huge_padding_exits_2(self, capsys):
+        for rotations in (["1", "2"], ["1"]):
+            code, out, err = run_cli(
+                capsys, "spectrum", "7", *rotations, "--padding", "1000000000", "--kmax", "2"
+            )
+            assert code == 2 and out == ""
+            assert err.startswith("error: degree 2 ") and "cell limit" in err
+
+    def test_table_beyond_row_limit_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "spectrum", "7", "1", "2", "--kmax", "400000", "--format", "csv"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: degree 400000 ") and "row limit" in err
+
+
 class TestPairCommands:
     def test_isometric_yes_with_witness(self, capsys):
         code, out, _ = run_cli(capsys, "isometric", "7", "1", "2", "--", "2", "3")
@@ -191,6 +207,11 @@ class TestSweepCommand:
     def test_inverted_range_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "10", "5")
         assert code == 2
+
+    def test_order_beyond_sweep_limit_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "100000", "100000")
+        assert code == 2 and out == ""
+        assert err.startswith("error: order 100000 exceeds the sweep limit")
 
     def test_heat_mode_finds_q195_pair(self, capsys):
         code, out, _ = run_cli(

@@ -91,6 +91,25 @@ def test_lattice_overflow_guard(padding, degree):
         multiplicity_series(reduce(7, [1, 2], padding), degree)
 
 
+def test_int64_guard_reachable_below_cell_limit():
+    # 4_000_001 x 4 cells pass the cell limit; the counts would not fit int64.
+    with pytest.raises(CountingRangeExceeded, match="degree 4000000 .*int64"):
+        _kernels.lattice_series(1, 2, 7, 0, 4_000_000)
+
+
+def test_variable_cells_capped_in_both_kernels(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the counting table was allocated")
+
+    monkeypatch.setattr(np, "zeros", refuse)
+    with pytest.raises(CountingRangeExceeded, match="degree 2 .*cell limit"):
+        _kernels.lattice_series(1, 2, 7, 10**9, 2)
+    # At q = 1 the residue table would fit; degrees x variables do not.
+    mmax = _kernels.MAX_TABLE_CELLS // 3
+    with pytest.raises(CountingRangeExceeded, match=f"degree {mmax} .*cell limit"):
+        _kernels.invariant_series([1, 2, 3], 1, mmax)
+
+
 def test_dp_table_cap_refuses_before_allocating(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the counting table was allocated")

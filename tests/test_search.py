@@ -1,9 +1,15 @@
+from itertools import combinations
+from math import comb
+
+import numpy as np
 import pytest
 
+from orbilens import search
 from orbilens.core import LensSpace, canonical_form, is_isometric, sphere
 from orbilens.errors import PreconditionViolated, UnsupportedRank
 from orbilens.heat import HeatVerdict, same_heat_expansion
 from orbilens.search import (
+    MAX_SWEEP_ORDER,
     SMALL_Q_LIMIT,
     enumerate_classes,
     find_heat_degenerate,
@@ -47,11 +53,20 @@ class TestEnumerate:
         reps = {c.rotations for c in classes}
         assert len(reps) == len(classes)
 
-    @pytest.mark.parametrize("q", [6, 12, 16])
+    # Even orders matter: there fold(q/2) = q/2.
+    @pytest.mark.parametrize("q", [*range(2, 65), 195])
     def test_members_map_to_listed_representative(self, q):
-        listed = {c.rotations for c in isometry_classes(q)[0]}
-        for rots in all_reduced_pairs(q):
-            assert canonical_form(LensSpace(q, rots)).rotations in listed
+        members = all_reduced_pairs(q)
+        # Canonical rotations do not depend on the padding.
+        canonical = {canonical_form(LensSpace(q, rots)).rotations for rots in members}
+        for padding in (0, 1):
+            classes, spaces = isometry_classes(q, padding)
+            reps = [c.rotations for c in classes]
+            assert reps == sorted(set(reps)), "representatives strictly ascending"
+            for c in classes:
+                assert c.padding == padding and canonical_form(c) == c
+            assert spaces == len(members)
+            assert set(reps) == canonical
 
     def test_q195_contains_famous_classes(self, q195_pair):
         classes = {c.rotations for c in isometry_classes(195)[0]}
@@ -72,6 +87,22 @@ class TestEnumerate:
             list(enumerate_classes(2, 4, n=3))
         with pytest.raises(PreconditionViolated):
             list(enumerate_classes(2, 4, padding=2))
+
+    def test_orders_above_cap_refused_before_enumerating(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("classes were enumerated")
+
+        monkeypatch.setattr(search, "isometry_classes", refuse)
+        top = MAX_SWEEP_ORDER + 1
+        with pytest.raises(PreconditionViolated, match=f"order {top} exceeds"):
+            next(enumerate_classes(top, top))
+        for mode in ("rigidity", "heat-degenerate"):
+            with pytest.raises(PreconditionViolated, match=f"order {top} exceeds"):
+                next(sweep_stream(mode, 8, top))
+
+    def test_order_at_cap_accepted(self, monkeypatch):
+        monkeypatch.setattr(search, "isometry_classes", lambda q, padding: ([sphere()], 1))
+        assert next(enumerate_classes(MAX_SWEEP_ORDER, MAX_SWEEP_ORDER)) == sphere()
 
 
 class TestVerifyRigidity:
@@ -105,6 +136,23 @@ class TestVerifyRigidity:
                 rep = reps[canonical_form(member).rotations]
                 assert spectrum_table(member, 100).rows == spectrum_table(rep, 100).rows
                 assert is_isospectral(member, rep).isospectral
+
+
+class TestRigidityFindings:
+    # No swept order has isospectral classes, so one shared fingerprint
+    # stands in for a collision of every class with every other.
+    @pytest.mark.parametrize("q", [9, 12, 20, 30])
+    def test_shared_fingerprint_reports_every_pair(self, q, monkeypatch):
+        shared = np.arange(5, dtype=np.int64)
+        monkeypatch.setattr(search, "multiplicity_series", lambda space, kmax: shared)
+        classes, spaces = isometry_classes(q)
+        per_q, findings = search._rigidity_slice(q, 0)
+        assert [(f.first, f.second) for f in findings] == list(combinations(classes, 2))
+        for f in findings:
+            assert f.isospectral and f.first_differing_k is None
+            assert not f.isometric and f.witness is None and f.heat_verdict is None
+        assert per_q.pairs == comb(len(classes), 2) == per_q.findings
+        assert (per_q.q, per_q.spaces, per_q.classes) == (q, spaces, len(classes))
 
 
 class TestFindHeatDegenerate:

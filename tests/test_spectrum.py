@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbilens.core import LensSpace, canonical_form, reduce, sphere
+from orbilens import spectrum
 from orbilens.errors import (
+    CountingRangeExceeded,
     DimensionMismatch,
     NotADivisor,
     PoleEvaluation,
@@ -14,6 +16,7 @@ from orbilens.errors import (
 )
 from orbilens.search import isometry_classes
 from orbilens.spectrum import (
+    MAX_TABLE_ROWS,
     evaluate_F,
     generating_function,
     is_isospectral,
@@ -101,6 +104,24 @@ class TestSpectrumTable:
     def test_single_row(self):
         table = spectrum_table(reduce(195, [3, 5]), 0)
         assert table.rows == (type(table.rows[0])(0, 0, 1),)
+
+    def test_row_limit_refused_before_counting(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("multiplicities were counted")
+
+        monkeypatch.setattr(spectrum, "multiplicity_series", refuse)
+        with pytest.raises(PreconditionViolated, match=f"degree {MAX_TABLE_ROWS} .*row limit"):
+            spectrum_table(reduce(7, [1, 2]), MAX_TABLE_ROWS)
+
+    @pytest.mark.parametrize("rotations", [(1, 2), (1,), (1, 2, 3)])
+    def test_huge_padding_refused_before_counting(self, rotations):
+        # One prefix sum or weight per padded coordinate would take
+        # minutes and gigabytes at this padding.
+        space = LensSpace(7, rotations, 10**9)
+        with pytest.raises(CountingRangeExceeded, match="degree 2 .*cell limit"):
+            multiplicity_series(space, 2)
+        with pytest.raises(CountingRangeExceeded, match="degree 2 .*cell limit"):
+            spectrum_table(space, 2)
 
 
 class TestGeneratingFunction:
