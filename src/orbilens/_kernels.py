@@ -1,24 +1,24 @@
-"""Hot integer kernels: invariant-monomial counts per total degree.
+"""Hot integer kernels: harmonic multiplicities per degree.
 
-The series counts, per total degree m, the monomials
-``prod_j x_j^{e_j}`` whose weighted exponent sum is 0 mod q.  Each
-rotation block contributes a variable pair with residue weights ``+p``
-and ``q - p``; each padded coordinate a variable of weight 0.  Counts
-stay exact in int64; degrees that could overflow that range are refused
-up front with :class:`CountingRangeExceeded`.
+The multiplicities are the lag-2 differences of the counts, per degree
+m, of the monomials ``prod_j x_j^{e_j}`` whose weighted exponent sum is
+0 mod q.  Each rotation block contributes a variable pair with residue
+weights ``+p`` and ``q - p``; each padded coordinate a variable of
+weight 0.  Counts stay exact in int64; degrees that could overflow that
+range are refused up front with :class:`CountingRangeExceeded`.
 
-Two rotation blocks (:func:`lattice_series`) are counted as 1-norm
-lattice points, following Lauret, Miatello and Rossetti, "Spectra of
-lens spaces from 1-norm spectra of congruence lattices" (IMRN 2016):
-an exponent tuple (a1, b1, a2, b2) is invariant exactly when
-(u, v) = (a1 - b1, a2 - b2) lies in the congruence lattice
+In :func:`multiplicities`, the one entry, two rotation blocks are
+counted as 1-norm lattice points, following Lauret, Miatello and
+Rossetti, "Spectra of lens spaces from 1-norm spectra of congruence
+lattices" (IMRN 2016): an exponent tuple (a1, b1, a2, b2) is invariant
+exactly when (u, v) = (a1 - b1, a2 - b2) lies in the congruence lattice
 
     L = {(u, v) : p1 u + p2 v = 0 mod q},
 
 and the tuples of degree m over a point of 1-norm j number
 (m - j)/2 + 1 when m - j is even and non-negative.  So the invariant
 counts are the 1-norm counts N(j) of L summed twice over j = m mod 2,
-then summed once more per padded coordinate.  Time and memory are
+and the multiplicities N summed once.  Time and memory are
 O(mmax), independent of q.
 
 Any other number of variables goes through :func:`invariant_series`,
@@ -27,9 +27,9 @@ the coin-change dynamic program
     count[m][r] += count[m-1][(r - w) mod q]
 
 applied for ascending m, one numpy row of q residues at a time.  It
-serves one rotation block, three or more, and weight vectors given
-directly; its (mmax + 1) x q table is capped at MAX_TABLE_CELLS, and so
-is (mmax + 1) x variables for both kernels.
+serves one rotation block, three or more; its (mmax + 1) x q table is
+capped at MAX_TABLE_CELLS, and so is (mmax + 1) x variables for every
+count.  Each padded coordinate then adds one prefix sum.
 """
 
 from __future__ import annotations
@@ -131,15 +131,22 @@ def _norm_counts(p1: int, p2: int, q: int, jmax: int) -> np.ndarray:
     return _lag_cumsum(first.astype(np.int64, copy=False), step)
 
 
-def lattice_series(p1: int, p2: int, q: int, padding: int, mmax: int) -> np.ndarray:
-    """Invariant-monomial counts for degrees 0..mmax of two rotation blocks.
+def multiplicities(rotations, q: int, padding: int, kmax: int) -> np.ndarray:
+    """Harmonic multiplicities for degrees 0..kmax of a lens-space quotient.
 
-    Equal, bit for bit, to :func:`invariant_series` with weights
-    ``(p1, -p1, p2, -p2)`` followed by ``padding`` zeros.
+    Entry k is the invariant-monomial count at degree k minus the count
+    at degree k - 2 for the weights ``+-p`` per rotation and ``padding``
+    zeros.
     """
-    _check_range(q, mmax, 4 + padding)
-    counts = _norm_counts(p1, p2, q, mmax)
-    counts = _lag_cumsum(_lag_cumsum(counts, 2), 2)
+    _check_range(q, kmax, 2 * len(rotations) + padding)
+    if len(rotations) == 2:
+        mult = _lag_cumsum(_norm_counts(*rotations, q, kmax), 2)
+    else:
+        counts = invariant_series([w for p in rotations for w in (p, -p)], q, kmax)
+        mult = counts.copy()
+        mult[2:] -= counts[:-2]
+    # A padded coordinate multiplies the series by 1 / (1 - z), which
+    # commutes with the lag-2 difference.
     for _ in range(padding):
-        counts = np.cumsum(counts)
-    return counts
+        mult = np.cumsum(mult)
+    return mult

@@ -277,7 +277,10 @@ def _cmd_sweep(args, tail, out) -> int:
                 [per_q.q, per_q.spaces, per_q.classes, per_q.pairs, per_q.findings]
             )
         out.flush()
-        results.append((per_q, findings))
+        # The summary counts findings from the per-order rows; drop this
+        # order's reports before the next order is computed.
+        results.append((per_q, ()))
+        pair = findings = None
     summary = records.summary_record(
         summarize_sweep(args.mode, args.qmin, args.qmax, args.padding, results)
     )

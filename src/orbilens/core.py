@@ -8,8 +8,9 @@ the action non-free and the quotient an orbifold.
 
 Two descriptors name isometric quotients exactly when one rotation
 vector maps to the other by a unit multiplier mod q together with
-per-entry sign flips and a permutation; ``is_isometric`` searches that
-orbit exhaustively and returns the witness it finds.
+per-entry sign flips and a permutation.  Folding each residue x to
+min(x, q - x) and sorting settles the signs and the permutation, so the
+orbit is one sorted folded row per unit, from :func:`_folded_orbit`.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .errors import (
     DimensionMismatch,
@@ -174,19 +177,29 @@ def units(q: int) -> list[int]:
     return [l for l in range(1, q + 1) if math.gcd(l, q) == 1]
 
 
-def _fold(x: int, q: int) -> int:
-    """Smaller of the residue and its negation mod q (sign-orbit representative)."""
-    x %= q
-    return min(x, q - x) if x else 0
+def _folded_orbit(space: LensSpace, ls: Optional[np.ndarray] = None) -> list[np.ndarray]:
+    """Sign-folded residues min(l p mod q, q - l p mod q) over the units l.
+
+    One int64 array per rotation p, indexed like ``ls``, which defaults
+    to ``units(space.q)`` in ascending order.
+    """
+    q = space.q
+    if ls is None:
+        ls = np.asarray(units(q), dtype=np.int64)
+    folded = []
+    for p in space.rotations:
+        x = ls * p % q
+        folded.append(np.minimum(x, q - x))
+    return folded
 
 
 def is_isometric(first: LensSpace, second: LensSpace) -> Optional[IsometryWitness]:
     """Witness for an isometry between the two quotients, or None.
 
-    Searches every unit multiplier l mod q; for fixed l the per-entry
-    sign choice and the permutation reduce to a multiset match of the
-    sign-orbit representatives, from which an explicit witness is
-    rebuilt.  Distinct group orders can never be isometric.
+    Takes the first unit multiplier l mod q, in ascending order, whose
+    sorted sign-folded row equals the target's; for that l the per-entry
+    signs and the permutation are rebuilt explicitly.  Distinct group
+    orders can never be isometric.
     """
     if first.n != second.n or first.padding != second.padding:
         raise DimensionMismatch(
@@ -197,27 +210,28 @@ def is_isometric(first: LensSpace, second: LensSpace) -> Optional[IsometryWitnes
     q, n = first.q, first.n
     if q == 1:
         return IsometryWitness(1, (1,) * n, tuple(range(n)))
-    target_fold = sorted(_fold(p, q) for p in second.rotations)
-    for l in units(q):
-        mapped = [(l * p) % q for p in first.rotations]
-        if sorted(_fold(v, q) for v in mapped) != target_fold:
-            continue
-        signs = [0] * n
-        perm = [-1] * n
-        used = [False] * n
-        for i, v in enumerate(mapped):
-            for j, t in enumerate(second.rotations):
-                if used[j]:
-                    continue
-                if t == v:
-                    signs[i], perm[i], used[j] = 1, j, True
-                    break
-                if t == (q - v) % q:
-                    signs[i], perm[i], used[j] = -1, j, True
-                    break
-        if all(p >= 0 for p in perm):
-            return IsometryWitness(l, tuple(signs), tuple(perm))
-    return None
+    ls = np.asarray(units(q), dtype=np.int64)
+    rows = np.sort(np.column_stack(_folded_orbit(first, ls)), axis=1)
+    target = sorted(min(p, q - p) for p in second.rotations)
+    hits = np.flatnonzero((rows == target).all(axis=1))
+    if not hits.size:
+        return None
+    l = int(ls[hits[0]])
+    signs = [0] * n
+    perm = [-1] * n
+    used = [False] * n
+    for i, p in enumerate(first.rotations):
+        v = (l * p) % q
+        for j, t in enumerate(second.rotations):
+            if used[j]:
+                continue
+            if t == v:
+                signs[i], perm[i], used[j] = 1, j, True
+                break
+            if t == q - v:
+                signs[i], perm[i], used[j] = -1, j, True
+                break
+    return IsometryWitness(l, tuple(signs), tuple(perm))
 
 
 def apply_witness(witness: IsometryWitness, space: LensSpace) -> tuple[int, ...]:
@@ -233,21 +247,15 @@ def canonical_form(space: LensSpace) -> LensSpace:
     """Smallest descriptor in the isometry orbit.
 
     Minimises the sorted rotation vector lexicographically over every
-    unit multiplier, sign pattern and permutation.  Signs and the
-    permutation are resolved entrywise (take min(x, q-x), then sort),
-    which realises the orbit minimum; the multiplier is enumerated in
-    full.  Two descriptors are isometric iff their canonical forms are
-    equal.
+    unit multiplier, sign pattern and permutation: the least of the
+    sorted sign-folded rows.  Two descriptors are isometric iff their
+    canonical forms are equal.
     """
-    q = space.q
-    if q == 1:
+    if space.q == 1:
         return space
-    best = None
-    for l in units(q):
-        cand = tuple(sorted(_fold(l * p, q) for p in space.rotations))
-        if best is None or cand < best:
-            best = cand
-    return LensSpace(q, best, space.padding)
+    rows = np.sort(np.column_stack(_folded_orbit(space)), axis=1)
+    best = rows[np.lexsort(rows.T[::-1])[0]]
+    return LensSpace(space.q, tuple(best.tolist()), space.padding)
 
 
 def decompose_singular(space: LensSpace) -> SingularDecomposition:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .core import LensSpace, canonical_form, decompose_singular
+from .core import LensSpace, decompose_singular, is_isometric
 from .errors import (
     PreconditionViolated,
     ShapeMismatch,
@@ -272,10 +272,10 @@ class HeatVerdict(enum.Enum):
 def same_heat_expansion(first: LensSpace, second: LensSpace) -> HeatVerdict:
     """Sufficient test for equality of the full heat-trace expansions.
 
-    GUARANTEED_EQUAL when the descriptors are isometric (equal canonical
-    forms), or when both are genuine orbifold quotients with matching
-    isotropy pairs {alpha, beta}: every circle contribution then depends
-    on the isotropy orders alone, to all orders.  Anything else returns
+    GUARANTEED_EQUAL when both are genuine orbifold quotients with
+    matching isotropy pairs {alpha, beta}: every circle contribution then
+    depends on the isotropy orders alone, to all orders.  Failing that,
+    also when the descriptors are isometric.  Anything else returns
     UNKNOWN rather than a claim of inequality; in particular the
     rotationally degenerate case p_1 = +-p_2 mod q falls outside the
     matching criterion, as do pairs of distinct manifold classes.
@@ -288,10 +288,10 @@ def same_heat_expansion(first: LensSpace, second: LensSpace) -> HeatVerdict:
         )
     if first.q != second.q:
         raise ShapeMismatch(f"group orders differ: {first.q} vs {second.q}")
-    if canonical_form(first) == canonical_form(second):
-        return HeatVerdict.GUARANTEED_EQUAL
     key = _heat_key(first)
     if key is not None and key == _heat_key(second):
+        return HeatVerdict.GUARANTEED_EQUAL
+    if is_isometric(first, second) is not None:
         return HeatVerdict.GUARANTEED_EQUAL
     return HeatVerdict.UNKNOWN
 

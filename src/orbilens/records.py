@@ -15,7 +15,7 @@ from typing import Any, Optional
 from ._version import __version__
 from .core import IsometryWitness, LensSpace
 from .heat import HeatCoefficient, HeatExpansion, HeatTerm
-from .search import PairReport, PerQ, SweepSummary
+from .search import SMALL_Q_LIMIT, PairReport, PerQ, SweepSummary
 from .spectrum import IsospectralDecision, SpectrumRow, SpectrumTable
 
 
@@ -167,6 +167,8 @@ def parse_per_q(rec: dict) -> PerQ:
 
 
 def summary_record(s: SweepSummary) -> dict:
+    # From the per-order rows, so a fold that drops the reports gives the same record.
+    small = sum(p.findings for p in s.per_q if p.q < SMALL_Q_LIMIT)
     return {
         "record": "summary",
         "mode": s.mode,
@@ -177,8 +179,8 @@ def summary_record(s: SweepSummary) -> dict:
         "spaces": s.spaces,
         "classes": s.classes,
         "pairs_checked": s.pairs_checked,
-        "findings": len(s.findings),
-        "small_q_findings": len(s.small_q_findings),
+        "findings": sum(p.findings for p in s.per_q) - small,
+        "small_q_findings": small,
         "version": __version__,
     }
 

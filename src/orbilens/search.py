@@ -24,10 +24,10 @@ from typing import Hashable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .core import IsometryWitness, LensSpace, sphere, units
+from .core import IsometryWitness, LensSpace, _folded_orbit, sphere, units
 from .errors import PreconditionViolated, UnsupportedRank
 from .heat import HeatVerdict, _heat_key
-from .spectrum import multiplicity_series
+from .spectrum import isospectral_bound, multiplicity_series
 
 __all__ = [
     "PairReport",
@@ -114,8 +114,7 @@ def isometry_classes(q: int, padding: int = 0) -> tuple[list[LensSpace], int]:
             break
         p1, p2 = divmod(at, h + 1)
         classes.append(LensSpace(q, (p1, p2), padding))
-        x, y = ls * p1 % q, ls * p2 % q
-        x, y = np.minimum(x, q - x), np.minimum(y, q - y)
+        x, y = _folded_orbit(classes[-1], ls)
         todo[np.minimum(x, y), np.maximum(x, y)] = False
     return classes, _reduced_pair_count(q, len(ls))
 
@@ -168,10 +167,10 @@ def _bucket_pairs(keys: Iterable[Optional[Hashable]]) -> list[tuple[int, int]]:
 
 
 def _rigidity_slice(q: int, padding: int) -> tuple[PerQ, list[PairReport]]:
-    # Fingerprints run through the certifying depth 2nq + 2 of
-    # is_isospectral, so a fingerprint bucket holds isospectral classes.
+    # Fingerprints run through the certifying depth of is_isospectral,
+    # so a fingerprint bucket holds isospectral classes.
     classes, spaces = isometry_classes(q, padding)
-    pairs = _bucket_pairs(multiplicity_series(c, 4 * q + 2).tobytes() for c in classes)
+    pairs = _bucket_pairs(multiplicity_series(c, isospectral_bound(c)).tobytes() for c in classes)
     findings = [
         PairReport(classes[i], classes[j], isometric=False, witness=None,
                    isospectral=True, first_differing_k=None)
@@ -184,11 +183,11 @@ def _heat_slice(q: int, padding: int) -> tuple[PerQ, list[PairReport]]:
     # Distinct class representatives are never isometric, so the heat
     # verdict of a pair reduces to comparing their matching keys.  Each
     # class sharing its key is fingerprinted once through the certifying
-    # depth 2nq + 2 of is_isospectral.
+    # depth of is_isospectral.
     classes, spaces = isometry_classes(q, padding)
     pairs = _bucket_pairs(_heat_key(c) for c in classes)
     keyed = {i for pair in pairs for i in pair}
-    series = {i: multiplicity_series(classes[i], 4 * q + 2) for i in keyed}
+    series = {i: multiplicity_series(classes[i], isospectral_bound(classes[i])) for i in keyed}
     findings = []
     for i, j in pairs:
         differ = np.flatnonzero(series[i] != series[j])

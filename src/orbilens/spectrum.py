@@ -7,11 +7,12 @@ polynomials of degree k.  That dimension is computed exactly by integer
 counting: invariant monomials of degree m are exponent tuples
 (a_1, b_1, .., a_n, b_n, c_1, .., c_W) with sum p_i (a_i - b_i) = 0 mod q,
 and the harmonic dimension is the difference of consecutive even-shifted
-counts.  For two rotation blocks (dimensions 3 and 4 at padding 0 and 1)
-the counts come from the 1-norm counts of the congruence lattice
-{(u, v) : p_1 u + p_2 v = 0 mod q} (:func:`orbilens._kernels.lattice_series`);
-any other number of blocks goes through the dynamic program
-:func:`orbilens._kernels.invariant_series`.  No floating point enters
+counts.  :func:`orbilens._kernels.multiplicities` returns those
+differences directly: for two rotation blocks (dimensions 3 and 4 at
+padding 0 and 1) from the 1-norm counts of the congruence lattice
+{(u, v) : p_1 u + p_2 v = 0 mod q}, for any other number of blocks from
+the dynamic program :func:`orbilens._kernels.invariant_series`, and one
+prefix sum per padded coordinate.  No floating point enters
 the exact path; the closed-form complex sum over group elements is kept
 only as a numeric cross-check (:func:`evaluate_F`) and for residues.
 """
@@ -64,38 +65,16 @@ __all__ = [
 MAX_TABLE_ROWS = 100_000
 
 
-def _invariant_counts(space: LensSpace, upto: int) -> np.ndarray:
-    """Counts of invariant monomials per total degree 0..upto."""
-    # Checked before a huge padding turns into a huge weight list.
-    _kernels._check_range(space.q, upto, 2 * space.n + space.padding)
-    if space.n == 2:
-        return _kernels.lattice_series(*space.rotations, space.q, space.padding, upto)
-    weights = [w for p in space.rotations for w in (p, -p)] + [0] * space.padding
-    return _kernels.invariant_series(weights, space.q, upto)
-
-
 def multiplicity(space: LensSpace, k: int) -> int:
-    """Multiplicity of the k-th eigenvalue ladder step, exactly.
-
-    Equals the invariant-monomial count at degree k minus the count at
-    degree k - 2 (the radial square pairs lower-degree invariants with
-    higher ones).  Pure integer arithmetic.
-    """
-    if k < 0:
-        raise PreconditionViolated(f"k must be >= 0, got {k}")
-    counts = _invariant_counts(space, k)
-    below = int(counts[k - 2]) if k >= 2 else 0
-    return int(counts[k]) - below
+    """Multiplicity of the k-th eigenvalue ladder step, exactly."""
+    return int(multiplicity_series(space, k)[k])
 
 
 def multiplicity_series(space: LensSpace, kmax: int) -> np.ndarray:
-    """Multiplicities for k = 0..kmax as an int64 array."""
+    """Multiplicities for k = 0..kmax as an int64 array, exactly."""
     if kmax < 0:
         raise PreconditionViolated(f"kmax must be >= 0, got {kmax}")
-    counts = _invariant_counts(space, kmax)
-    mult = counts.copy()
-    mult[2:] -= counts[:-2]
-    return mult
+    return _kernels.multiplicities(space.rotations, space.q, space.padding, kmax)
 
 
 def eigenvalue(space: LensSpace, k: int) -> int:

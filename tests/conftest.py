@@ -1,9 +1,17 @@
+import itertools
 import math
+import os
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
 from orbilens.core import LensSpace
+
+# Subprocesses the tests start (python -m orbilens.cli) import the
+# package from this checkout, as the tests themselves do.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 @st.composite
@@ -29,6 +37,15 @@ def all_reduced_pairs(q):
             if math.gcd(math.gcd(p1, p2), q) == 1:
                 out.append((p1, p2))
     return out
+
+
+def all_reduced_tuples(q, n):
+    """All reduced sorted rotation tuples of length n for one order."""
+    return [
+        rots
+        for rots in itertools.combinations_with_replacement(range(1, q), n)
+        if math.gcd(q, *rots) == 1
+    ]
 
 
 @pytest.fixture(scope="session")

@@ -12,29 +12,11 @@ import cmath
 import itertools
 import math
 
-import numpy as np
-
 from orbilens.core import LensSpace
 from orbilens.spectrum import evaluate_F
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMBA = False
-
-    def njit(*a, **k):
-        def wrap(fn):
-            return fn
-
-        if a and callable(a[0]):
-            return a[0]
-        return wrap
-
-
 # ---------------------------------------------------------------------------
-# brute-force invariant-monomial counting (two rotation blocks)
+# brute-force invariant-monomial counting
 
 
 def brute_counts_weighted_py(q: int, p1: int, p2: int, mmax: int) -> list[int]:
@@ -56,24 +38,21 @@ def brute_counts_weighted_py(q: int, p1: int, p2: int, mmax: int) -> list[int]:
     return out
 
 
-@njit(cache=True)
-def _brute_counts_weighted_njit(q, p1, p2, mmax):  # pragma: no cover - jitted
-    n1 = (q - p1 % q) % q
-    n2 = (q - p2 % q) % q
-    w1 = p1 % q
-    w2 = p2 % q
-    out = np.zeros(mmax + 1, np.int64)
-    for a1 in range(mmax + 1):
-        r1 = (w1 * a1) % q
-        for b1 in range(mmax + 1 - a1):
-            r2 = (r1 + n1 * b1) % q
-            d2 = a1 + b1
-            for a2 in range(mmax + 1 - d2):
-                r3 = (r2 + w2 * a2) % q
-                d3 = d2 + a2
-                for b2 in range(mmax + 1 - d3):
-                    if (r3 + n2 * b2) % q == 0:
-                        out[d3 + b2] += 1
+def brute_counts_general(q: int, rotations, mmax: int) -> list[int]:
+    """Counts of (a_1, b_1, .., a_n, b_n) per total degree with
+    sum p_i (a_i - b_i) = 0 mod q, for any number n of rotations."""
+    weights = [w % q for p in rotations for w in (p, -p)]
+    out = [0] * (mmax + 1)
+
+    def walk(i: int, degree: int, residue: int) -> None:
+        if i == len(weights):
+            if residue == 0:
+                out[degree] += 1
+            return
+        for e in range(mmax - degree + 1):
+            walk(i + 1, degree + e, (residue + e * weights[i]) % q)
+
+    walk(0, 0, 0)
     return out
 
 
@@ -89,21 +68,17 @@ def _apply_padding(cnt0, padding: int, mmax: int) -> list[int]:
     return out
 
 
-def brute_invariant_counts(
-    space: LensSpace, mmax: int, fast: bool = False
-) -> list[int]:
+def brute_invariant_counts(space: LensSpace, mmax: int) -> list[int]:
     """Invariant-monomial counts per degree by raw tuple enumeration."""
-    assert space.n == 2, "oracle written for two rotation blocks"
-    p1, p2 = space.rotations
-    if fast and HAVE_NUMBA:
-        cnt0 = _brute_counts_weighted_njit(space.q, p1, p2, mmax)
+    if space.n == 2:
+        cnt0 = brute_counts_weighted_py(space.q, *space.rotations, mmax)
     else:
-        cnt0 = brute_counts_weighted_py(space.q, p1, p2, mmax)
+        cnt0 = brute_counts_general(space.q, space.rotations, mmax)
     return _apply_padding(cnt0, space.padding, mmax)
 
 
-def brute_multiplicities(space: LensSpace, kmax: int, fast: bool = False) -> list[int]:
-    counts = brute_invariant_counts(space, kmax, fast=fast)
+def brute_multiplicities(space: LensSpace, kmax: int) -> list[int]:
+    counts = brute_invariant_counts(space, kmax)
     return [
         counts[k] - (counts[k - 2] if k >= 2 else 0) for k in range(kmax + 1)
     ]

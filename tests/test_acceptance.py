@@ -66,7 +66,7 @@ def test_c1_oracle_equivalence_random_spaces():
                     for k in range(101)
                 ]
             else:
-                expected = oracles.brute_multiplicities(space, 100, fast=True)
+                expected = oracles.brute_multiplicities(space, 100)
             assert list(multiplicity_series(space, 100)) == expected, space
         elapsed = time.perf_counter() - started
         assert elapsed < 60.0, f"took {elapsed:.1f}s"

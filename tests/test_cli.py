@@ -1,13 +1,21 @@
+import gc
 import json
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 
-from orbilens import records
+from orbilens import cli, records, search
 from orbilens.cli import main
 from orbilens.core import IsometryWitness, reduce
 from orbilens.heat import heat_expansion_3d
-from orbilens.search import find_heat_degenerate, verify_rigidity
+from orbilens.search import (
+    PairReport,
+    PerQ,
+    find_heat_degenerate,
+    summarize_sweep,
+    verify_rigidity,
+)
 from orbilens.spectrum import is_isospectral, spectrum_table
 
 
@@ -248,6 +256,28 @@ class TestSweepCommand:
             p.classes for p in summary.per_q
         ]
 
+    def test_each_orders_reports_dropped_before_the_next(self, capsys, monkeypatch):
+        alive, leaked, found = [], [], []
+
+        def tracked(*args):
+            for per_q, reports in search.sweep_stream(*args):
+                # The CLI has asked for this order; count the last order's
+                # reports that are still reachable.
+                gc.collect()
+                leaked.append(sum(ref() is not None for ref in alive))
+                alive[:] = [weakref.ref(r) for r in reports]
+                found.append(len(reports))
+                yield per_q, reports
+
+        monkeypatch.setattr(cli, "sweep_stream", tracked)
+        code, out, _ = run_cli(
+            capsys, "sweep", "190", "200", "--mode", "heat-degenerate", "--format", "json-lines"
+        )
+        assert code == 0
+        assert leaked == [0] * 11
+        assert sum(found) == json.loads(out.splitlines()[-1])["findings"]
+        assert sum(n > 0 for n in found) >= 2
+
     def test_csv_heat_mode(self, capsys):
         code, out, _ = run_cli(
             capsys, "sweep", "10", "12", "--mode", "heat-degenerate", "--format", "csv"
@@ -297,3 +327,14 @@ class TestRecordPrimitives:
 
     def test_witness_none_roundtrip(self):
         assert records.parse_witness(records.witness_record(None)) is None
+
+    def test_summary_counts_findings_from_per_order_rows(self):
+        report = PairReport(reduce(5, [1, 2]), reduce(5, [1, 2]), False, None, True, None)
+        results = [(PerQ(5, 3, 1, 0, 1), [report]), (PerQ(9, 6, 2, 1, 2), [report] * 2)]
+        summary = summarize_sweep("rigidity", 5, 9, 0, results)
+        rec = records.summary_record(summary)
+        assert (rec["findings"], rec["small_q_findings"]) == (2, 1)
+        assert (len(summary.findings), len(summary.small_q_findings)) == (2, 1)
+        # The CLI folds the rows without the reports.
+        rows_only = summarize_sweep("rigidity", 5, 9, 0, [(p, ()) for p, _ in results])
+        assert records.summary_record(rows_only) == rec

@@ -22,7 +22,7 @@ from orbilens.errors import (
     ZeroRotation,
 )
 
-from conftest import all_reduced_pairs, reduced_spaces
+from conftest import all_reduced_pairs, all_reduced_tuples, reduced_spaces
 import oracles
 
 
@@ -147,6 +147,34 @@ class TestIsometric:
         if a.q != b.q:
             return
         assert (is_isometric(a, b) is None) == (is_isometric(b, a) is None)
+
+
+@pytest.mark.parametrize(
+    "n, qs", [(1, range(2, 25)), (3, (5, 7, 8, 9, 12))], ids=["n1", "n3"]
+)
+class TestOtherBlockOrbits:
+    """The unit orbit for one and three rotation blocks."""
+
+    def test_canonical_form_matches_literal_orbit_minimum(self, n, qs):
+        for q in qs:
+            for rots in all_reduced_tuples(q, n):
+                space = LensSpace(q, rots)
+                assert canonical_form(space).rotations == oracles.canonical_exhaustive(space)
+
+    def test_is_isometric_matches_exhaustive_orbit_search(self, n, qs):
+        rng = random.Random(n)
+        for q in qs:
+            spaces = [LensSpace(q, rots) for rots in all_reduced_tuples(q, n)]
+            for a in spaces:
+                # A random orbit move of a, unsorted, and a random space.
+                l = rng.choice([u for u in range(1, q) if math.gcd(u, q) == 1])
+                moved = [rng.choice([1, -1]) * l * p % q for p in a.rotations]
+                rng.shuffle(moved)
+                for b in (LensSpace(q, tuple(moved)), rng.choice(spaces)):
+                    w = is_isometric(a, b)
+                    assert (w is not None) == oracles.isometric_exhaustive(a, b), (a, b)
+                    if w is not None:
+                        assert apply_witness(w, a) == b.rotations
 
 
 class TestCanonicalForm:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from orbilens import _kernels
-from orbilens.core import reduce
+from orbilens.core import LensSpace, reduce
 from orbilens.errors import CountingRangeExceeded
 from orbilens.search import isometry_classes
 from orbilens.spectrum import multiplicity_series
@@ -26,11 +26,15 @@ def test_trivial_cases():
 
 
 def _dp(q, p1, p2, padding, mmax):
-    return _kernels.invariant_series([p1, -p1, p2, -p2] + [0] * padding, q, mmax)
+    """Lag-2 difference of the DP counts, padding as zero-weight variables."""
+    counts = _kernels.invariant_series([p1, -p1, p2, -p2] + [0] * padding, q, mmax)
+    mult = counts.copy()
+    mult[2:] -= counts[:-2]
+    return mult
 
 
 def _assert_lattice_equals_dp(q, p1, p2, padding, mmax):
-    got = _kernels.lattice_series(p1, p2, q, padding, mmax)
+    got = _kernels.multiplicities((p1, p2), q, padding, mmax)
     assert got.dtype == np.int64
     assert np.array_equal(got, _dp(q, p1, p2, padding, mmax)), (q, p1, p2, padding)
 
@@ -70,8 +74,8 @@ def test_lattice_exact_where_row_offsets_leave_int64():
     # At q = 2^61 - 1 the row offsets c * t pass 2^63 within 30 rows;
     # the reference enumerates exponent tuples in Python integers.
     q = 2**61 - 1
-    got = _kernels.lattice_series(1, 3, q, 0, 30)
-    assert list(got) == oracles.brute_counts_weighted_py(q, 1, 3, 30)
+    got = _kernels.multiplicities((1, 3), q, 0, 30)
+    assert list(got) == oracles.brute_multiplicities(LensSpace(q, (1, 3)), 30)
 
 
 def test_spectrum_counts_two_blocks_on_the_lattice(monkeypatch):
@@ -86,7 +90,7 @@ def test_spectrum_counts_two_blocks_on_the_lattice(monkeypatch):
 @pytest.mark.parametrize("padding, degree", [(0, 5_000_000), (1, 200_000)])
 def test_lattice_overflow_guard(padding, degree):
     with pytest.raises(CountingRangeExceeded, match=f"degree {degree} "):
-        _kernels.lattice_series(1, 2, 7, padding, degree)
+        _kernels.multiplicities((1, 2), 7, padding, degree)
     with pytest.raises(CountingRangeExceeded, match=f"degree {degree} "):
         multiplicity_series(reduce(7, [1, 2], padding), degree)
 
@@ -94,7 +98,7 @@ def test_lattice_overflow_guard(padding, degree):
 def test_int64_guard_reachable_below_cell_limit():
     # 4_000_001 x 4 cells pass the cell limit; the counts would not fit int64.
     with pytest.raises(CountingRangeExceeded, match="degree 4000000 .*int64"):
-        _kernels.lattice_series(1, 2, 7, 0, 4_000_000)
+        _kernels.multiplicities((1, 2), 7, 0, 4_000_000)
 
 
 def test_variable_cells_capped_in_both_kernels(monkeypatch):
@@ -103,7 +107,7 @@ def test_variable_cells_capped_in_both_kernels(monkeypatch):
 
     monkeypatch.setattr(np, "zeros", refuse)
     with pytest.raises(CountingRangeExceeded, match="degree 2 .*cell limit"):
-        _kernels.lattice_series(1, 2, 7, 10**9, 2)
+        _kernels.multiplicities((1, 2), 7, 10**9, 2)
     # At q = 1 the residue table would fit; degrees x variables do not.
     mmax = _kernels.MAX_TABLE_CELLS // 3
     with pytest.raises(CountingRangeExceeded, match=f"degree {mmax} .*cell limit"):

@@ -30,7 +30,7 @@ from orbilens.spectrum import (
     spectrum_table,
 )
 
-from conftest import all_reduced_pairs, reduced_spaces
+from conftest import all_reduced_pairs, all_reduced_tuples, reduced_spaces
 import oracles
 
 
@@ -63,6 +63,17 @@ class TestMultiplicity:
     @settings(max_examples=40, deadline=None)
     def test_random_matches_brute_force(self, space, k):
         assert multiplicity(space, k) == oracles.brute_multiplicities(space, k)[k]
+
+    @pytest.mark.parametrize("n, qmax", [(1, 12), (3, 8)])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    def test_other_block_counts_match_brute_force(self, n, qmax, padding):
+        # n != 2 counts on the dynamic program; padding adds prefix sums.
+        for q in range(1, qmax + 1):
+            tuples = all_reduced_tuples(q, n) if q > 1 else [(0,) * n]
+            for rots in tuples:
+                space = LensSpace(q, rots, padding)
+                expected = oracles.brute_multiplicities(space, 12)
+                assert list(multiplicity_series(space, 12)) == expected, space
 
     def test_padded_sphere_dimension_counts(self):
         # S^4 harmonic dimensions: (2k+3)(k+2)(k+1)/6
@@ -193,8 +204,8 @@ class TestIsospectral:
     def test_famous_pair_differing_k_matches_brute_force(self, q195_pair):
         first, second = q195_pair
         k = is_isospectral(first, second).first_differing_k
-        m1 = oracles.brute_multiplicities(first, k, fast=True)
-        m2 = oracles.brute_multiplicities(second, k, fast=True)
+        m1 = oracles.brute_multiplicities(first, k)
+        m2 = oracles.brute_multiplicities(second, k)
         assert m1[:k] == m2[:k]
         assert m1[k] != m2[k]
 
