@@ -20,10 +20,6 @@ from .core import (
     sphere,
 )
 from .heat import (
-    SPHERE3,
-    SPHERE4,
-    CurvatureContext,
-    DonnellyB,
     HeatCoefficient,
     HeatExpansion,
     HeatTerm,
@@ -31,11 +27,9 @@ from .heat import (
     StratumTerm,
     csc2_sum,
     csc4_sum,
-    donnelly_b_matrix,
     heat_expansion_3d,
     same_heat_expansion,
     stratum_b01,
-    stratum_cot_sums,
 )
 from .search import (
     PairReport,

@@ -49,10 +49,6 @@ class NotADivisor(OrbilensError, ValueError):
     """Argument k must divide the group order q."""
 
 
-class SingularRotation(OrbilensError, ValueError):
-    """Rotation angle is an integer multiple of 2*pi; no normal-bundle matrix."""
-
-
 class CountingRangeExceeded(OrbilensError, OverflowError):
     """Requested degree would overflow the exact int64 counting range."""
 

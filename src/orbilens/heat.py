@@ -1,23 +1,25 @@
 """Heat-trace asymptotics for 3D lens-space quotients, exactly.
 
-As t -> 0+ the heat trace of the quotient expands in half-integer powers
-of t.  The smooth part contributes (1/(32 q pi)) t^(-3/2) e^t; each
-singular circle contributes sqrt(pi) t^(-1/2) sums of fixed-point
-coefficients b_0, b_1 divided by its isotropy order.  With the two
-isotropy orders written alpha and beta (see
-:func:`orbilens.core.decompose_singular`), the closed forms are
+The coefficients here follow the paper's convention, in which the smooth
+part of the expansion is (1/(32 q pi)) t^(-3/2) e^t (acceptance criterion
+C6 pins its leading 1/6240 · 1/pi for q = 195).  Each singular circle
+adds sqrt(pi) t^(-1/2) sums of fixed-point coefficients b_0, b_1 divided
+by its isotropy order.  With the two isotropy orders written alpha and
+beta (see :func:`orbilens.core.decompose_singular`), the closed forms on
+the unit round sphere are
 
     b_0 = (m^2 - 1)/12
-    b_1 = -(R_1313 + R_2323) (m^2 - 29)(m^2 - 1)/720
+    b_1 = -(m^2 - 29)(m^2 - 1)/360
 
-for a circle of isotropy order m, where the curvature components are
-evaluated at a representative point of the fixed circle (both equal 1 on
-the unit round sphere).  Every coefficient lives in the exact linear
-span of 1/pi and sqrt(pi) over the rationals, so equality of expansions
-is decided exactly, never by float comparison.
+for a circle of isotropy order m.  Every coefficient lives in the exact
+linear span of 1/pi and sqrt(pi) over the rationals, so equality of
+expansions is decided exactly, never by float comparison.
 
-The 4D (padded) case carries the same gcd structure; only the matching
-predicate and the normal-bundle determinant factors are provided there.
+These are not the small-t coefficients of the computed spectrum's trace
+sum_k m_k e^(-k(k+2)t).  That trace starts with sqrt(pi)/(4q) t^(-3/2),
+which is (4 pi)^(3/2) times the 1/(32 q pi) here.  Its t^(-1/2)
+coefficient for L(195:3,5), fitted at t = 1e-6..1e-7, is 0.0265111,
+against 1.10291 in this convention.
 """
 
 from __future__ import annotations
@@ -26,36 +28,23 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .core import LensSpace, decompose_singular, is_isometric
-from .errors import (
-    PreconditionViolated,
-    ShapeMismatch,
-    SingularRotation,
-    UnsupportedShape,
-)
+from .errors import PreconditionViolated, ShapeMismatch, UnsupportedShape
 
 __all__ = [
     "HeatCoefficient",
-    "CurvatureContext",
-    "SPHERE3",
-    "SPHERE4",
     "csc2_sum",
     "csc4_sum",
     "StratumTerm",
     "stratum_b01",
-    "stratum_cot_sums",
-    "DonnellyB",
-    "donnelly_b_matrix",
     "HeatTerm",
     "HeatExpansion",
     "heat_expansion_3d",
     "HeatVerdict",
     "same_heat_expansion",
 ]
-
-Rational = Union[int, Fraction]
 
 
 @dataclass(frozen=True)
@@ -85,29 +74,6 @@ class HeatCoefficient:
         return "".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class CurvatureContext:
-    """Curvature data at a representative point of a fixed circle.
-
-    The defaults are the unit round sphere values; r1313 and r2323 are
-    the two sectional components entering b_1, tau the scalar curvature.
-    """
-
-    dim: int
-    r1313: Rational
-    r2323: Rational
-    tau: Rational
-    ricci_diagonal: tuple[Rational, ...]
-
-    @property
-    def curvature_sum(self) -> Fraction:
-        return Fraction(self.r1313) + Fraction(self.r2323)
-
-
-SPHERE3 = CurvatureContext(dim=3, r1313=1, r2323=1, tau=6, ricci_diagonal=(2, 2, 2))
-SPHERE4 = CurvatureContext(dim=4, r1313=1, r2323=1, tau=12, ricci_diagonal=(3, 3, 3, 3))
-
-
 def csc2_sum(m: int) -> Fraction:
     """sum_{r=1}^{m-1} 1/sin^2(pi r / m) = (m^2 - 1)/3, exactly."""
     if m < 1:
@@ -122,83 +88,26 @@ def csc4_sum(m: int) -> Fraction:
     return Fraction(m**4 + 10 * m * m - 11, 45)
 
 
-def stratum_cot_sums(m: int, weight: int = 1) -> tuple[float, float]:
-    """Term-by-term float evaluation of the b_0 / b_1 sums for one circle.
-
-    The angles weight*pi*r/m sweep a full residue system whenever
-    gcd(weight, m) = 1, so the value must be independent of the weight;
-    the curvature factor of b_1 is left out (multiply by the context's
-    curvature sum).
-    """
-    if m < 2:
-        raise PreconditionViolated(f"isotropy order must be >= 2, got {m}")
-    if math.gcd(weight, m) != 1:
-        raise PreconditionViolated(f"weight {weight} shares a factor with {m}")
-    b0 = 0.0
-    b1 = 0.0
-    for r in range(1, m):
-        s2 = math.sin(math.pi * ((weight * r) % m) / m) ** 2
-        b0 += 0.25 / s2
-        b1 += 1.0 / (6.0 * s2) - 1.0 / (16.0 * s2 * s2)
-    return b0, b1
-
-
 @dataclass(frozen=True)
 class StratumTerm:
-    """Exact b_0, b_1 of one singular circle plus float trig cross-checks."""
+    """Exact b_0, b_1 of one singular circle."""
 
     label: str
     isotropy_order: int
     b0: Fraction
     b1: Fraction
-    b0_cot_sum: float
-    b1_cot_sum: float
 
 
-def stratum_b01(
-    m: int, ctx: CurvatureContext = SPHERE3, weight: int = 1, label: str = ""
-) -> StratumTerm:
+def stratum_b01(m: int, label: str = "") -> StratumTerm:
     """Fixed-point heat coefficients of a circle with isotropy order m >= 2.
 
-    b_0 = (m^2 - 1)/12 and
-    b_1 = -(R_1313 + R_2323)(m^2 - 29)(m^2 - 1)/720, both exact.
+    b_0 = (m^2 - 1)/12 and b_1 = -(m^2 - 29)(m^2 - 1)/360, both exact.
     """
     if m < 2:
         raise PreconditionViolated(f"isotropy order must be >= 2, got {m}")
-    curv = ctx.curvature_sum
     b0 = Fraction(m * m - 1, 12)
-    b1 = -curv * Fraction((m * m - 29) * (m * m - 1), 720)
-    c0, c1 = stratum_cot_sums(m, weight)
-    return StratumTerm(label, m, b0, b1, c0, float(curv) * c1)
-
-
-@dataclass(frozen=True)
-class DonnellyB:
-    """Normal-bundle matrix B = (I - A)^(-1) of a plane rotation.
-
-    ``angle_over_pi`` is the exact rotation half-angle as a multiple of
-    pi; entries and |det B| = 1/(4 sin^2) are float renderings.
-    """
-
-    angle_over_pi: Fraction
-    entries: tuple[tuple[float, float], tuple[float, float]]
-    det_abs: float
-
-
-def donnelly_b_matrix(m: int, r: int, weight: int = 1) -> DonnellyB:
-    """B matrix of the r-th power acting on the normal plane of a circle."""
-    if m < 2:
-        raise PreconditionViolated(f"isotropy order must be >= 2, got {m}")
-    if math.gcd(weight, m) != 1:
-        raise PreconditionViolated(f"weight {weight} shares a factor with {m}")
-    if (weight * r) % m == 0:
-        raise SingularRotation(f"rotation by 2*pi*{weight}*{r}/{m} is the identity")
-    if not 1 <= r <= m - 1:
-        raise PreconditionViolated(f"power r must lie in [1, {m - 1}], got {r}")
-    angle = Fraction((weight * r) % m, m)
-    c = 1.0 / math.tan(math.pi * float(angle))
-    det = 0.25 * (1.0 + c * c)
-    return DonnellyB(angle, ((0.5, -0.5 * c), (0.5 * c, 0.5)), det)
+    b1 = -Fraction((m * m - 29) * (m * m - 1), 360)
+    return StratumTerm(label, m, b0, b1)
 
 
 @dataclass(frozen=True)
@@ -210,7 +119,7 @@ class HeatTerm:
 
 @dataclass(frozen=True)
 class HeatExpansion:
-    """Truncated small-time expansion sum_j c_j t^(e_j) of the heat trace."""
+    """Truncated small-time expansion sum_j c_j t^(e_j), paper convention."""
 
     space: LensSpace
     alpha: int
@@ -223,10 +132,9 @@ class HeatExpansion:
         return tuple(t.coefficient for t in self.terms)
 
 
-def heat_expansion_3d(
-    space: LensSpace, order: int = 3, ctx: CurvatureContext = SPHERE3
-) -> HeatExpansion:
-    """First terms of the heat-trace expansion of a 3D quotient.
+def heat_expansion_3d(space: LensSpace, order: int = 3) -> HeatExpansion:
+    """First terms of the heat-trace expansion of a 3D quotient, in the
+    paper's convention (see the module docstring).
 
     Emits exponents -3/2, -1/2, 1/2 (order = 1..3).  The smooth part
     contributes 1/(32 q pi) times 1/j! at exponent -3/2 + j; each
@@ -244,9 +152,9 @@ def heat_expansion_3d(
     q = space.q
     strata = []
     if beta > 1:
-        strata.append(stratum_b01(beta, ctx, label="first-plane circle"))
+        strata.append(stratum_b01(beta, label="first-plane circle"))
     if alpha > 1:
-        strata.append(stratum_b01(alpha, ctx, label="second-plane circle"))
+        strata.append(stratum_b01(alpha, label="second-plane circle"))
 
     def circle_part(j: int) -> Fraction:
         acc = Fraction(0)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -135,18 +134,10 @@ class GeneratingFunction:
         return len(self.numerator) - 1
 
     def taylor(self, kmax: int) -> list[int]:
-        """Multiplicity series recovered by polynomial long division."""
-        q, m = self.q, self.denominator_power
-        num = self.numerator
-        out = []
-        for k in range(kmax + 1):
-            acc = num[k] if k < len(num) else 0
-            for j in range(1, m + 1):
-                if k - j * q < 0:
-                    break
-                acc -= math.comb(m, j) * (-1) ** j * out[k - j * q]
-            out.append(acc)
-        return out
+        """Multiplicity series recovered by dividing by (1 - z^q)^(2n)."""
+        num = list(self.numerator[: kmax + 1])
+        num += [0] * (kmax + 1 - len(num))
+        return _times_one_minus_zd(num, self.q, -self.denominator_power)
 
     def evaluate(self, z: Union[Fraction, complex, float]):
         """Evaluate the rational form; exact when z is a Fraction."""
@@ -170,26 +161,46 @@ def generating_function(space: LensSpace) -> GeneratingFunction:
             f"generating function implemented for padding 0 or 1, got {space.padding}"
         )
     q, n = space.q, space.n
-    m = 2 * n
     upper = 2 * n * q + 2 * n + 2
     cap = 2 * n * q - 2 * n + 2
-    mult = multiplicity_series(space, upper)
-    coeffs = [0] * (upper + 1)
-    for d in range(upper + 1):
-        acc = 0
-        for j in range(0, m + 1):
-            if d - j * q < 0:
-                break
-            acc += (-1) ** j * math.comb(m, j) * int(mult[d - j * q])
-        coeffs[d] = acc
-    for d in range(cap + 1, upper + 1):
-        if coeffs[d] != 0:
-            raise InternalInvariant(
-                f"numerator fails to terminate by degree {cap} for {space}"
-            )
+    mult = [int(m) for m in multiplicity_series(space, upper)]
+    coeffs = _times_one_minus_zd(mult, q, 2 * n)
+    if any(coeffs[cap + 1 :]):
+        raise InternalInvariant(
+            f"numerator fails to terminate by degree {cap} for {space}"
+        )
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
-    return GeneratingFunction(q, n, space.padding, tuple(coeffs), m)
+    return GeneratingFunction(q, n, space.padding, tuple(coeffs), 2 * n)
+
+
+def _times_one_minus_zd(coeffs: list[int], d: int, power: int) -> list[int]:
+    """Power series coeffs * (1 - z^d)^power, exactly, to len(coeffs) terms.
+
+    A positive power takes lag-d differences, a negative one lag-d prefix
+    sums; both are exact in Python integers.
+    """
+    out = list(coeffs)
+    for _ in range(power):
+        for i in range(len(out) - 1, d - 1, -1):
+            out[i] -= out[i - d]
+    for _ in range(-power):
+        for i in range(d, len(out)):
+            out[i] += out[i - d]
+    return out
+
+
+def _mobius(m: int) -> int:
+    """Moebius function mu(m) by trial division."""
+    sign, p = 1, 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if m > 1 else sign
 
 
 def isospectral_bound(space: LensSpace) -> int:
@@ -358,25 +369,29 @@ def residue_case3(space: LensSpace, power: int = 1) -> complex:
 def pole_order(space: LensSpace, k: int) -> int:
     """Pole order of the spectrum series at primitive k-th roots of unity.
 
-    For k = 1 or 2 the order is 2n - 1.  For k >= 3 it is the largest
-    eigenvalue multiplicity among the rotation eigenvalues of the group
-    elements of order k, found by scanning their eigenvalue multisets.
+    Each factor (1 - z^q) of the denominator holds the cyclotomic
+    polynomial Phi_k once, so the order is 2n - v_k, where v_k is the
+    multiplicity of Phi_k in the numerator N(z) of
+    :func:`generating_function`, clamped at 0 where N(z) cancels the
+    whole denominator factor.  v_k is counted by exact division: N / Phi_k
+    is N times (1 - z^d)^(-mu(k/d)) over the divisors d of k, and it is a
+    polynomial exactly when that power series vanishes on the k terms
+    past deg N (a nonzero remainder over Phi_k repeats with period k).
     """
     if k < 1 or space.q % k != 0:
         raise NotADivisor(f"k={k} does not divide q={space.q}")
-    n, q = space.n, space.q
-    if k <= 2:
-        return 2 * n - 1
-    best = 0
-    for l in range(1, q + 1):
-        if q // math.gcd(l, q) != k:
-            continue
-        expo = Counter()
-        for p in space.rotations:
-            expo[(p * l) % q] += 1
-            expo[(-p * l) % q] += 1
-        best = max(best, max(expo.values()))
-    return best
+    gf = generating_function(space)
+    num = list(gf.numerator)
+    v = 0
+    while v < gf.denominator_power:
+        quot = num + [0] * k
+        for d in range(1, k + 1):
+            if k % d == 0:
+                quot = _times_one_minus_zd(quot, d, -_mobius(k // d))
+        if any(quot[len(num) :]):
+            break
+        num, v = quot[: len(num)], v + 1
+    return gf.denominator_power - v
 
 
 def order_spectrum(space: LensSpace) -> tuple[int, ...]:

@@ -9,11 +9,14 @@ limits instead of closed forms.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 
+import numpy as np
+
 from orbilens.core import LensSpace
-from orbilens.spectrum import evaluate_F
+from orbilens.spectrum import evaluate_F, multiplicity_series
 
 # ---------------------------------------------------------------------------
 # brute-force invariant-monomial counting
@@ -161,3 +164,60 @@ def fitted_pole_order_at_one(gf, ms=(4, 5, 6, 7)) -> int:
         (logs[i + 1] - logs[i]) / math.log(10.0) for i in range(len(logs) - 1)
     ]
     return round(sum(slopes) / len(slopes))
+
+
+# ---------------------------------------------------------------------------
+# pole orders by cyclotomic cancellation
+
+
+def _divide_monic(num, den) -> list[int]:
+    """Exact quotient of integer polynomials (ascending coefficients)."""
+    num = list(num)
+    out = [0] * (len(num) - len(den) + 1)
+    for i in range(len(out) - 1, -1, -1):
+        out[i] = num[i + len(den) - 1] // den[-1]
+        for j, c in enumerate(den):
+            num[i + j] -= out[i] * c
+    assert not any(num), "division left a remainder"
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def cyclotomic(k: int) -> tuple[int, ...]:
+    """Phi_k: z^k - 1 divided by Phi_d for every proper divisor d of k."""
+    num = [-1] + [0] * (k - 1) + [1]
+    for d in range(1, k):
+        if k % d == 0:
+            num = _divide_monic(num, cyclotomic(d))
+    return tuple(num)
+
+
+def _cancels_poles(space: LensSpace, exponents: dict[int, int]) -> bool:
+    """Whether D * F is a polynomial, D = prod_k Phi_k^exponents[k].
+
+    F has denominator (1 - z^q)^(2n), so past degree deg D + 2nq the
+    coefficients of D * F are a quasi-polynomial of period q and degree
+    below 2n; it is zero iff it vanishes on 2nq consecutive degrees.
+    """
+    d = np.array([1], dtype=np.int64)
+    for k, r in exponents.items():
+        for _ in range(r):
+            d = np.convolve(d, np.array(cyclotomic(k), dtype=np.int64))
+    deg = len(d) - 1
+    window = 2 * space.n * space.q
+    series = multiplicity_series(space, deg + 2 * window)
+    return not np.convolve(d, series)[deg + window + 1 : deg + 2 * window + 1].any()
+
+
+def pole_orders_certified(space: LensSpace, orders: dict[int, int]) -> bool:
+    """Whether orders[k] is the exact pole order of the spectrum series at
+    the primitive k-th roots of unity, for the divisors k given.
+
+    D = prod Phi_k^orders[k] must clear every pole of F, and removing
+    any single factor Phi_k of D must leave a pole.
+    """
+    if min(orders.values()) < 0 or not _cancels_poles(space, orders):
+        return False
+    return not any(
+        _cancels_poles(space, {**orders, k: r - 1}) for k, r in orders.items() if r > 0
+    )

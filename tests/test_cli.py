@@ -148,6 +148,25 @@ class TestPairCommands:
         assert lines[0] == "NO"
         assert "k=8" in lines[1]
 
+    def test_isometric_beyond_unit_limit_exits_2(self, capsys, monkeypatch):
+        import math
+
+        from orbilens.core import MAX_UNIT_ORDER
+
+        real_gcd, calls = math.gcd, []
+
+        def budgeted_gcd(*args):
+            calls.append(1)
+            if len(calls) > 100:
+                raise AssertionError("the unit orbit was built")
+            return real_gcd(*args)
+
+        monkeypatch.setattr(math, "gcd", budgeted_gcd)
+        q = str(10**6 * MAX_UNIT_ORDER + 1)
+        code, out, err = run_cli(capsys, "isometric", q, "1", "2", "--", "1", "3")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: order {q} ") and "unit-orbit limit" in err
+
     def test_missing_separator_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "isospectral", "7", "1", "2")
         assert code == 2

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from orbilens.core import (
+    MAX_UNIT_ORDER,
     LensSpace,
     apply_witness,
     canonical_form,
@@ -13,6 +14,7 @@ from orbilens.core import (
     pad,
     reduce,
     sphere,
+    units,
 )
 from orbilens.errors import (
     DimensionMismatch,
@@ -147,6 +149,23 @@ class TestIsometric:
         if a.q != b.q:
             return
         assert (is_isometric(a, b) is None) == (is_isometric(b, a) is None)
+
+
+class TestUnitLimit:
+    def test_orbit_beyond_limit_refused_before_building(self, monkeypatch):
+        q = 10**6 * MAX_UNIT_ORDER + 1
+        a, b = reduce(q, [1, 2]), reduce(q, [1, 3])
+
+        def refuse(*args):
+            raise AssertionError("the unit orbit was built")
+
+        monkeypatch.setattr(math, "gcd", refuse)
+        for call in (lambda: units(q), lambda: is_isometric(a, b), lambda: canonical_form(a)):
+            with pytest.raises(PreconditionViolated, match="unit-orbit limit"):
+                call()
+
+    def test_orbit_at_limit_is_built(self):
+        assert units(MAX_UNIT_ORDER)[:3] == [1, 3, 5]
 
 
 @pytest.mark.parametrize(

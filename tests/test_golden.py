@@ -1,9 +1,11 @@
-"""Sweep stdout pinned byte for byte.
+"""CLI stdout pinned byte for byte.
 
-Each digest is the sha256 of the CLI's stdout for one sweep, recorded
-before the sweep internals were simplified.  Any change to verdicts,
-``first_differing_k``, ``pairs_checked`` or record formatting shows up
-here as a digest mismatch.
+Each digest is the sha256 of the CLI's stdout for one command.  The
+sweep digests were recorded before the sweep internals were simplified,
+the ``heat`` and ``isometric`` digests before the analytic layer was cut
+down to its exact results.  Any change to verdicts, witnesses,
+``first_differing_k``, ``pairs_checked``, heat coefficients or record
+formatting shows up here as a digest mismatch.
 """
 
 import hashlib
@@ -48,6 +50,46 @@ GOLDEN = {
     "sweep 8 24 --mode heat-degenerate --padding 0 --format text": (
         "5615208103c512531ffd6bcfb06419de8d1dda748152f4507e53d718cedc163f",
         2648,
+    ),
+    "heat 195 3 5 --format json-lines": (
+        "6e30e6a3f2a4da6b3a0de6ed2f684fccaa440538948a5518d0e854859c0df593",
+        512,
+    ),
+    "heat 195 3 5 --format csv": (
+        "4f67d3e0bc32d83cf4bf05bb1bdaab73939eaff00f34a7f4ed44c653cf9b4d07",
+        140,
+    ),
+    "heat 195 3 5 --format text": (
+        "f8b02cfb89741c3bf5b74829af665a0cd35fbe157ac0fb8c2da52535a2616ebf",
+        301,
+    ),
+    "heat 195 6 35 --format json-lines": (
+        "4964c7bd78323cc0bfda3b50bfbb7de41e5aefd04cb1a53afbe50c1803a962bb",
+        514,
+    ),
+    "heat 195 6 35 --format csv": (
+        "4f67d3e0bc32d83cf4bf05bb1bdaab73939eaff00f34a7f4ed44c653cf9b4d07",
+        140,
+    ),
+    "heat 195 6 35 --format text": (
+        "9925dbc9d7aeac193580b79e5536cd0a988429dc43c696f6b04cbacd9daf93f3",
+        302,
+    ),
+    "heat 7 1 2 --format json-lines": (
+        "fa78cd31e2c13a0fd604baf4174e47a83af731970adaa877c2f9e28b334c64c3",
+        499,
+    ),
+    "heat 7 1 2 --format csv": (
+        "224655b0d91e6db8e57338a5ad457654f012af296b32160f45486bdf8b15e040",
+        131,
+    ),
+    "heat 7 1 2 --format text": (
+        "5af565b1bb31677f593f5581f728f126306ed70800d5c23cf772b0eddb169700",
+        296,
+    ),
+    "isometric 7 1 2 --format json-lines -- 2 3": (
+        "d885ef055ef4f458608ad3f5b7ef614ec97e46de13a61267d2d935be1c8f1432",
+        228,
     ),
 }
 

@@ -1,29 +1,21 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from orbilens.core import LensSpace, decompose_singular, is_isometric, reduce
-from orbilens.errors import (
-    PreconditionViolated,
-    ShapeMismatch,
-    SingularRotation,
-    UnsupportedShape,
-)
+from orbilens.errors import PreconditionViolated, ShapeMismatch, UnsupportedShape
 from orbilens.heat import (
-    SPHERE3,
-    SPHERE4,
     HeatCoefficient,
     HeatVerdict,
     csc2_sum,
     csc4_sum,
-    donnelly_b_matrix,
     heat_expansion_3d,
     _heat_key,
     same_heat_expansion,
     stratum_b01,
-    stratum_cot_sums,
 )
 from orbilens.search import isometry_classes
 
@@ -36,6 +28,17 @@ def trig_csc2(m):
 
 def trig_csc4(m):
     return sum(1.0 / math.sin(math.pi * r / m) ** 4 for r in range(1, m))
+
+
+def weighted_trig_sums(m, w):
+    """b_0, b_1 of a circle of isotropy m summed term by term over the
+    angles pi w r / m; b_1 carries the round sphere's curvature sum 2."""
+    b0 = b1 = 0.0
+    for r in range(1, m):
+        s2 = math.sin(math.pi * (w * r % m) / m) ** 2
+        b0 += 0.25 / s2
+        b1 += 2 * (1.0 / (6.0 * s2) - 1.0 / (16.0 * s2 * s2))
+    return b0, b1
 
 
 class TestCotangentSums:
@@ -66,21 +69,33 @@ class TestStratumCoefficients:
     def test_example_m2_single_term(self):
         assert stratum_b01(2).b0 == Fraction(1, 4)
 
+    def test_exact_cot_sum_identities(self):
+        # b_0 and b_1 are the quarter csc^2 sum and the curvature-weighted
+        # csc^2/csc^4 combination; C8 ties those sums to trig
+        for m in range(2, 301):
+            term = stratum_b01(m)
+            assert term.b0 == csc2_sum(m) / 4
+            assert term.b1 == 2 * (csc2_sum(m) / 6 - csc4_sum(m) / 16)
+
     @pytest.mark.parametrize("m", [2, 3, 5, 8, 13, 60, 150, 300])
     def test_trig_cross_checks(self, m):
+        b0, b1 = weighted_trig_sums(m, 1)
         term = stratum_b01(m)
-        assert abs(term.b0_cot_sum - float(term.b0)) <= 1e-10 * max(1.0, float(term.b0))
-        assert abs(term.b1_cot_sum - float(term.b1)) <= 1e-10 * max(1.0, abs(float(term.b1)))
+        assert abs(b0 - float(term.b0)) <= 1e-10 * max(1.0, float(term.b0))
+        assert abs(b1 - float(term.b1)) <= 1e-10 * max(1.0, abs(float(term.b1)))
 
     def test_weight_independence(self):
+        # a circle's generator may turn its normal plane by 2 pi w / m for
+        # any unit w; the fixed-point sums, and so b_0 and b_1, do not
+        # depend on w
         for m in range(2, 51):
-            base = stratum_cot_sums(m, 1)
-            for w in range(2, m):
+            term = stratum_b01(m)
+            for w in range(1, m):
                 if math.gcd(w, m) != 1:
                     continue
-                other = stratum_cot_sums(m, w)
-                assert abs(base[0] - other[0]) < 1e-9 * max(1.0, abs(base[0]))
-                assert abs(base[1] - other[1]) < 1e-9 * max(1.0, abs(base[1]))
+                b0, b1 = weighted_trig_sums(m, w)
+                assert abs(b0 - float(term.b0)) < 1e-9 * max(1.0, float(term.b0))
+                assert abs(b1 - float(term.b1)) < 1e-9 * max(1.0, abs(float(term.b1)))
 
     def test_isotropy_one_rejected(self):
         with pytest.raises(PreconditionViolated):
@@ -88,34 +103,18 @@ class TestStratumCoefficients:
 
 
 class TestDonnellyB:
-    def test_half_turn(self):
-        b = donnelly_b_matrix(2, 1)
-        assert b.det_abs == pytest.approx(0.25)
-        assert b.entries[0][0] == 0.5 and abs(b.entries[0][1]) < 1e-12
-
-    def test_third_turn(self):
-        assert donnelly_b_matrix(3, 1).det_abs == pytest.approx(1.0 / 3.0)
+    """b_0 against Donnelly's fixed-point sum of |det B|, B = (I - A)^(-1),
+    over the nontrivial powers A of the rotation on the normal plane."""
 
     @pytest.mark.parametrize("m", [2, 3, 4, 7, 12, 25, 50])
     def test_det_sum_is_quarter_csc2_sum(self, m):
-        total = sum(donnelly_b_matrix(m, r).det_abs for r in range(1, m))
+        total = 0.0
+        for r in range(1, m):
+            c, s = math.cos(2 * math.pi * r / m), math.sin(2 * math.pi * r / m)
+            a = np.array([[c, -s], [s, c]])
+            total += abs(np.linalg.det(np.linalg.inv(np.eye(2) - a)))
         assert total == pytest.approx(float(csc2_sum(m)) / 4.0, rel=1e-10)
-        assert total == pytest.approx(float(Fraction(m * m - 1, 12)), rel=1e-10)
-
-    def test_singular_rotation(self):
-        with pytest.raises(SingularRotation):
-            donnelly_b_matrix(5, 5)
-
-    def test_weight_must_be_unit(self):
-        with pytest.raises(PreconditionViolated):
-            donnelly_b_matrix(6, 1, weight=3)
-
-    def test_antisymmetric_off_diagonal(self):
-        b = donnelly_b_matrix(7, 2, weight=3)
-        assert b.entries[0][1] == -b.entries[1][0]
-        assert b.det_abs == pytest.approx(
-            0.25 * (1.0 + b.entries[1][0] ** 2 * 4.0), rel=1e-12
-        )
+        assert total == pytest.approx(float(stratum_b01(m).b0), rel=1e-10)
 
 
 class TestHeatExpansion3D:
@@ -167,11 +166,6 @@ class TestHeatExpansion3D:
             heat_expansion_3d(LensSpace(7, (1, 2, 3)))
         with pytest.raises(PreconditionViolated):
             heat_expansion_3d(reduce(7, [1, 2]), order=4)
-
-    def test_curvature_context_defaults(self):
-        assert SPHERE3.tau == 6 and SPHERE3.r1313 == 1 and SPHERE3.r2323 == 1
-        assert SPHERE3.curvature_sum == 2
-        assert SPHERE4.tau == 12
 
     def test_order_truncation(self):
         exp = heat_expansion_3d(reduce(9, [1, 3]), order=2)

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import pytest
@@ -321,8 +322,34 @@ class TestPoleOrder:
 
     def test_orbifold_element_with_repeated_unit_eigenvalue(self):
         # order-3 powers of the (1, 3) action at q=9 fix a plane, so the
-        # eigenvalue 1 appears twice in their rotation spectrum
-        assert pole_order(reduce(9, [1, 3]), 3) == 2
+        # eigenvalue 1 appears twice in their rotation spectrum; summed
+        # over the group the series still has only a simple pole there,
+        # as its radial growth towards exp(2 pi i / 3) shows
+        space = reduce(9, [1, 3])
+        g = cmath.exp(2j * math.pi / 3)
+        vals = [abs(evaluate_F(space, g * (1 - 10.0**-m))) for m in (3, 4, 5)]
+        slope = (math.log(vals[-1]) - math.log(vals[0])) / (2 * math.log(10.0))
+        assert round(slope) == pole_order(space, 3) == 1
+
+    def test_cancelled_pole(self):
+        # N(z) holds Phi_14 more often than the denominator does, so the
+        # series vanishes at the primitive 14th roots
+        assert pole_order(reduce(14, [2, 7]), 14) == 0
+
+    def test_unsupported_padding(self):
+        with pytest.raises(UnsupportedPadding):
+            pole_order(reduce(7, [1, 2], 2), 7)
+
+    def test_exhaustive_against_cyclotomic_oracle(self):
+        cases = 0
+        for padding in (0, 1):
+            for q in range(2, 31):
+                classes, _ = isometry_classes(q, padding)
+                for space in classes:
+                    orders = {k: pole_order(space, k) for k in order_spectrum(space)}
+                    assert oracles.pole_orders_certified(space, orders), (space, orders)
+                    cases += len(orders)
+        assert cases == 1932
 
     @pytest.mark.parametrize("q", [5, 7, 11, 13])
     def test_generic_manifold_elements_simple(self, q):
