@@ -29,7 +29,8 @@ the coin-change dynamic program
 applied for ascending m, one numpy row of q residues at a time.  It
 serves one rotation block, three or more; its (mmax + 1) x q table is
 capped at MAX_TABLE_CELLS, and so is (mmax + 1) x variables for every
-count.  Each padded coordinate then adds one prefix sum.
+count.  Each padded coordinate then adds one prefix sum; more padded
+coordinates than degrees are added as one binomial-weighted convolution.
 """
 
 from __future__ import annotations
@@ -71,12 +72,12 @@ def invariant_series(weights, q: int, mmax: int) -> np.ndarray:
     vanishes mod q.
     """
     _check_range(q, mmax, len(weights))
-    w = np.asarray(weights, dtype=np.int64) % q
     if (mmax + 1) * q > MAX_TABLE_CELLS:
         raise CountingRangeExceeded(
             f"degree {mmax} at order {q} needs a {mmax + 1} x {q} counting table, "
             f"above the {MAX_TABLE_CELLS} cell limit"
         )
+    w = np.asarray(weights, dtype=np.int64) % q
     cur = np.zeros((mmax + 1, q), np.int64)
     cur[0, 0] = 1
     for shift in w.tolist():
@@ -115,13 +116,19 @@ def _norm_counts(p1: int, p2: int, q: int, jmax: int) -> np.ndarray:
     h = g // math.gcd(g, b)
     # There x0 = (-(b/g) y * (a/g)^-1) mod step = (c t) mod step.
     c = (-(b // math.gcd(g, b)) * pow(a // g, -1, step)) % step
-    t = np.arange(jmax // h + 1, dtype=np.int64)
-    if c * int(t[-1]) < 2**63:
+    tmax = jmax // h
+    if max(c * tmax, h, step + jmax) < 2**63:
+        t = np.arange(tmax + 1, dtype=np.int64)
         x0 = (c * t) % step
+        y = h * t
+        starts = np.concatenate((y + x0, y + (step - x0)))
     else:
-        x0 = np.array([(c * i) % step for i in t.tolist()], np.int64)
-    y = h * t
-    starts = np.concatenate((y + x0, y + (step - x0)))
+        # Python integers; a start above jmax is never counted, so it is
+        # clipped to jmax + 1 before it becomes int64.
+        rows = [(h * i, (c * i) % step) for i in range(tmax + 1)]
+        starts = np.array(
+            [min(s, jmax + 1) for y, x in rows for s in (y + x, y + step - x)], np.int64
+        )
     # Rows -y and y give the same pair of starts, so every row counts
     # twice except y = 0, whose starts are 0 and step.
     first = 2 * np.bincount(starts[starts <= jmax], minlength=jmax + 1)
@@ -146,7 +153,16 @@ def multiplicities(rotations, q: int, padding: int, kmax: int) -> np.ndarray:
         mult = counts.copy()
         mult[2:] -= counts[:-2]
     # A padded coordinate multiplies the series by 1 / (1 - z), which
-    # commutes with the lag-2 difference.
+    # commutes with the lag-2 difference.  Past kmax coordinates, one
+    # convolution with the coefficients C(i + W - 1, i) of 1 / (1 - z)^W
+    # is cheaper than W prefix sums.  It stays in int64: mult[0] = 1, so
+    # every weight, product and partial sum is at most a padded
+    # multiplicity, which _check_range bounds.
+    if padding > kmax:
+        weights = [1]
+        for i in range(1, kmax + 1):
+            weights.append(weights[-1] * (padding + i - 1) // i)
+        return np.convolve(mult, np.array(weights, np.int64))[: kmax + 1]
     for _ in range(padding):
         mult = np.cumsum(mult)
     return mult

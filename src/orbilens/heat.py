@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -58,10 +59,15 @@ class HeatCoefficient:
         return HeatCoefficient(self.inv_pi + other.inv_pi, self.sqrt_pi + other.sqrt_pi)
 
     def __float__(self) -> float:
-        return float(self.inv_pi) / math.pi + float(self.sqrt_pi) * math.sqrt(math.pi)
-
-    def is_zero(self) -> bool:
-        return self.inv_pi == 0 and self.sqrt_pi == 0
+        try:
+            return float(self.inv_pi) / math.pi + float(self.sqrt_pi) * math.sqrt(math.pi)
+        except OverflowError:
+            # A part is beyond the float range: sum exactly, with the floats
+            # of 1/pi and sqrt(pi) as rationals, and give +-inf past it.
+            x = self.inv_pi * Fraction(1 / math.pi) + self.sqrt_pi * Fraction(math.sqrt(math.pi))
+            if abs(x) <= sys.float_info.max:
+                return float(x)
+            return math.inf if x > 0 else -math.inf
 
     def render(self) -> str:
         parts = []
@@ -92,13 +98,12 @@ def csc4_sum(m: int) -> Fraction:
 class StratumTerm:
     """Exact b_0, b_1 of one singular circle."""
 
-    label: str
     isotropy_order: int
     b0: Fraction
     b1: Fraction
 
 
-def stratum_b01(m: int, label: str = "") -> StratumTerm:
+def stratum_b01(m: int) -> StratumTerm:
     """Fixed-point heat coefficients of a circle with isotropy order m >= 2.
 
     b_0 = (m^2 - 1)/12 and b_1 = -(m^2 - 29)(m^2 - 1)/360, both exact.
@@ -107,7 +112,7 @@ def stratum_b01(m: int, label: str = "") -> StratumTerm:
         raise PreconditionViolated(f"isotropy order must be >= 2, got {m}")
     b0 = Fraction(m * m - 1, 12)
     b1 = -Fraction((m * m - 29) * (m * m - 1), 360)
-    return StratumTerm(label, m, b0, b1)
+    return StratumTerm(m, b0, b1)
 
 
 @dataclass(frozen=True)
@@ -150,11 +155,8 @@ def heat_expansion_3d(space: LensSpace, order: int = 3) -> HeatExpansion:
     dec = decompose_singular(space)
     alpha, beta = dec.alpha, dec.beta
     q = space.q
-    strata = []
-    if beta > 1:
-        strata.append(stratum_b01(beta, label="first-plane circle"))
-    if alpha > 1:
-        strata.append(stratum_b01(alpha, label="second-plane circle"))
+    # The first plane's circle (isotropy beta), then the second's (alpha).
+    strata = [stratum_b01(m) for m in (beta, alpha) if m > 1]
 
     def circle_part(j: int) -> Fraction:
         acc = Fraction(0)

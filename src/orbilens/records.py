@@ -1,10 +1,10 @@
-"""Structured record (de)serialization for the CLI.
+"""Structured records for the CLI's machine formats.
 
-Every record is a flat JSON-friendly dict.  Exact rationals travel as
-"num/den" strings, never floats; a 15-significant-digit decimal
-rendering is attached alongside where humans want one.  Each ``*_record``
-function has a ``parse_*`` inverse so emitted records round-trip into
-the originating domain objects.
+Every record is a JSON-friendly dict built from a library object.
+Exact rationals travel as "num/den" strings, never floats; a
+15-significant-digit decimal rendering is attached alongside where
+humans want one.  Records are written, never read back: a reader gets
+the exact values with ``Fraction(s)`` and ``LensSpace(**rec)``.
 """
 
 from __future__ import annotations
@@ -14,17 +14,13 @@ from typing import Any, Optional
 
 from ._version import __version__
 from .core import IsometryWitness, LensSpace
-from .heat import HeatCoefficient, HeatExpansion, HeatTerm
+from .heat import HeatExpansion, HeatTerm
 from .search import SMALL_Q_LIMIT, PairReport, PerQ, SweepSummary
 from .spectrum import IsospectralDecision, SpectrumRow, SpectrumTable
 
 
 def fraction_str(x: Fraction) -> str:
     return str(Fraction(x))
-
-
-def parse_fraction(s: str) -> Fraction:
-    return Fraction(s)
 
 
 def decimal_str(x: float) -> str:
@@ -35,20 +31,10 @@ def lens_record(space: LensSpace) -> dict:
     return {"q": space.q, "rotations": list(space.rotations), "padding": space.padding}
 
 
-def parse_lens(rec: dict) -> LensSpace:
-    return LensSpace(int(rec["q"]), tuple(rec["rotations"]), int(rec["padding"]))
-
-
 def witness_record(w: Optional[IsometryWitness]) -> Optional[dict]:
     if w is None:
         return None
     return {"unit": w.unit, "signs": list(w.signs), "permutation": list(w.permutation)}
-
-
-def parse_witness(rec: Optional[dict]) -> Optional[IsometryWitness]:
-    if rec is None:
-        return None
-    return IsometryWitness(int(rec["unit"]), tuple(rec["signs"]), tuple(rec["permutation"]))
 
 
 def decision_record(d: IsospectralDecision) -> dict:
@@ -60,22 +46,8 @@ def decision_record(d: IsospectralDecision) -> dict:
     }
 
 
-def parse_decision(rec: dict) -> IsospectralDecision:
-    k = rec["first_differing_k"]
-    return IsospectralDecision(
-        bool(rec["isospectral"]),
-        None if k is None else int(k),
-        int(rec["checked_upto"]),
-        str(rec["reason"]),
-    )
-
-
 def spectrum_row_record(row: SpectrumRow) -> dict:
     return {"k": row.k, "eigenvalue": row.eigenvalue, "multiplicity": row.multiplicity}
-
-
-def parse_spectrum_row(rec: dict) -> SpectrumRow:
-    return SpectrumRow(int(rec["k"]), int(rec["eigenvalue"]), int(rec["multiplicity"]))
 
 
 def spectrum_table_record(table: SpectrumTable) -> dict:
@@ -83,13 +55,6 @@ def spectrum_table_record(table: SpectrumTable) -> dict:
         "space": lens_record(table.space),
         "rows": [spectrum_row_record(r) for r in table.rows],
     }
-
-
-def parse_spectrum_table(rec: dict) -> SpectrumTable:
-    return SpectrumTable(
-        parse_lens(rec["space"]),
-        tuple(parse_spectrum_row(r) for r in rec["rows"]),
-    )
 
 
 def heat_term_record(term: HeatTerm) -> dict:
@@ -101,11 +66,6 @@ def heat_term_record(term: HeatTerm) -> dict:
         "exact": term.exact,
         "decimal": decimal_str(float(c)),
     }
-
-
-def parse_heat_term(rec: dict) -> HeatTerm:
-    coeff = HeatCoefficient(parse_fraction(rec["inv_pi"]), parse_fraction(rec["sqrt_pi"]))
-    return HeatTerm(parse_fraction(rec["exponent"]), coeff, bool(rec["exact"]))
 
 
 def heat_expansion_record(exp: HeatExpansion) -> dict:
@@ -132,19 +92,6 @@ def pair_record(p: PairReport) -> dict:
     }
 
 
-def parse_pair(rec: dict) -> PairReport:
-    k = rec["first_differing_k"]
-    return PairReport(
-        parse_lens(rec["first"]),
-        parse_lens(rec["second"]),
-        bool(rec["isometric"]),
-        parse_witness(rec["witness"]),
-        bool(rec["isospectral"]),
-        None if k is None else int(k),
-        rec["heat_verdict"],
-    )
-
-
 def per_q_record(p: PerQ) -> dict:
     return {
         "record": "per_q",
@@ -154,16 +101,6 @@ def per_q_record(p: PerQ) -> dict:
         "pairs": p.pairs,
         "findings": p.findings,
     }
-
-
-def parse_per_q(rec: dict) -> PerQ:
-    return PerQ(
-        int(rec["q"]),
-        int(rec["spaces"]),
-        int(rec["classes"]),
-        int(rec["pairs"]),
-        int(rec["findings"]),
-    )
 
 
 def summary_record(s: SweepSummary) -> dict:

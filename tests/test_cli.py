@@ -3,11 +3,12 @@ import json
 import subprocess
 import sys
 import weakref
+from dataclasses import asdict
 from fractions import Fraction
 
 from orbilens import cli, records, search
-from orbilens.cli import main
-from orbilens.core import IsometryWitness, reduce
+from orbilens.cli import FORMATS, main
+from orbilens.core import IsometryWitness, LensSpace, is_isometric, reduce
 from orbilens.heat import heat_expansion_3d
 from orbilens.search import (
     PairReport,
@@ -17,6 +18,8 @@ from orbilens.search import (
     verify_rigidity,
 )
 from orbilens.spectrum import is_isospectral, spectrum_table
+
+import oracles
 
 
 def run_cli(capsys, *argv):
@@ -55,8 +58,9 @@ class TestSpectrumCommand:
         assert code == 0
         env = json.loads(out)
         assert env["command"] == "spectrum" and env["version"]
-        table = records.parse_spectrum_table(env["result"])
-        assert table == spectrum_table(reduce(9, [1, 3]), 6)
+        table = spectrum_table(reduce(9, [1, 3]), 6)
+        assert LensSpace(**env["result"]["space"]) == table.space
+        assert env["result"]["rows"] == [asdict(row) for row in table.rows]
 
     def test_csv(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "2", "1", "1", "--format", "csv", "--kmax", "2")
@@ -107,9 +111,12 @@ class TestSpectrumCommand:
             raise AssertionError("the counting table was allocated")
 
         monkeypatch.setattr(np, "zeros", refuse)
-        code, out, err = run_cli(capsys, "spectrum", "400", "1", "--kmax", "100000000")
-        assert code == 2 and out == ""
-        assert err.startswith("error: degree 100000000 ") and "cell limit" in err
+        q = str(2**64 + 1)
+        for argv in (["400", "1", "100000000"], [q, "5", "3"], [q, "5", "7", "9", "3"]):
+            *space, kmax = argv
+            code, out, err = run_cli(capsys, "spectrum", *space, "--kmax", kmax)
+            assert code == 2 and out == ""
+            assert err.startswith(f"error: degree {kmax} ") and "cell limit" in err
 
 
     def test_huge_padding_exits_2(self, capsys):
@@ -119,6 +126,15 @@ class TestSpectrumCommand:
             )
             assert code == 2 and out == ""
             assert err.startswith("error: degree 2 ") and "cell limit" in err
+
+    def test_order_beyond_int64_exits_0(self, capsys):
+        q = 2**64 + 1
+        code, out, err = run_cli(
+            capsys, "spectrum", str(q), "1", "2", "--kmax", "3", "--format", "csv"
+        )
+        assert code == 0 and err == ""
+        mults = [int(line.split(",")[-1]) for line in out.splitlines()[1:]]
+        assert mults == oracles.brute_multiplicities(LensSpace(q, (1, 2)), 3)
 
     def test_table_beyond_row_limit_exits_2(self, capsys):
         code, out, err = run_cli(
@@ -182,16 +198,19 @@ class TestPairCommands:
         )
         env = json.loads(out)
         assert env["result"]["verdict"] is True
-        witness = records.parse_witness(env["result"]["witness"])
+        witness = is_isometric(reduce(7, [1, 2]), reduce(7, [2, 3]))
         assert witness == IsometryWitness(2, (1, -1), (0, 1))
+        # JSON turns the witness's tuples into lists.
+        assert env["result"]["witness"] == json.loads(json.dumps(asdict(witness)))
 
     def test_isospectral_json_roundtrip(self, capsys):
         code, out, _ = run_cli(
             capsys, "isospectral", "195", "3", "5", "--format", "json-lines", "--", "6", "35"
         )
         env = json.loads(out)
-        decision = records.parse_decision(env["result"]["decision"])
-        assert decision == is_isospectral(reduce(195, [3, 5]), reduce(195, [6, 35]))
+        decision = is_isospectral(reduce(195, [3, 5]), reduce(195, [6, 35]))
+        assert env["result"]["verdict"] is decision.isospectral is False
+        assert env["result"]["decision"] == asdict(decision)
 
 
 class TestHeatCommand:
@@ -213,10 +232,31 @@ class TestHeatCommand:
     def test_json_terms_roundtrip_exactly(self, capsys):
         code, out, _ = run_cli(capsys, "heat", "195", "3", "5", "--format", "json-lines")
         env = json.loads(out)
+        terms = env["result"]["terms"]
         expansion = heat_expansion_3d(reduce(195, [3, 5]))
-        parsed = tuple(records.parse_heat_term(t) for t in env["result"]["terms"])
-        assert parsed == expansion.terms
-        assert parsed[1].coefficient.sqrt_pi == Fraction(28, 45)
+        assert len(terms) == len(expansion.terms)
+        for rec, term in zip(terms, expansion.terms):
+            c = term.coefficient
+            assert Fraction(rec["exponent"]) == term.exponent
+            assert (Fraction(rec["inv_pi"]), Fraction(rec["sqrt_pi"])) == (c.inv_pi, c.sqrt_pi)
+            assert rec["exact"] is term.exact
+            assert rec["decimal"] == f"{float(c):.15g}"
+        assert Fraction(terms[1]["sqrt_pi"]) == Fraction(28, 45)
+
+    def test_decimal_beyond_float_range_is_inf(self, capsys):
+        # The t^(1/2) circle part is about -m^3 / 360 for isotropy order m.
+        m = 10**110 + 1
+        decimals = ["4.97359197162173e-113", "1.4770448757546e+109", "-inf"]
+        for fmt in FORMATS:
+            code, out, err = run_cli(capsys, "heat", str(2 * m), "2", str(m), "--format", fmt)
+            assert code == 0 and err == ""
+            if fmt == "json-lines":
+                terms = json.loads(out)["result"]["terms"]
+                assert [t["decimal"] for t in terms] == decimals
+                assert Fraction(terms[2]["sqrt_pi"]) < -(10**300)
+            else:
+                sep = "," if fmt == "csv" else None
+                assert [line.split(sep)[-1] for line in out.splitlines()[1:]] == decimals
 
     def test_padding_rejected(self, capsys):
         code, _, err = run_cli(capsys, "heat", "195", "3", "5", "--padding", "1")
@@ -258,12 +298,13 @@ class TestSweepCommand:
         )
         recs = [json.loads(line) for line in out.splitlines()]
         summary = find_heat_degenerate(10, 16)
-        parsed_pairs = tuple(
-            records.parse_pair(r) for r in recs if r["record"] == "pair"
-        )
-        assert parsed_pairs == summary.findings
-        parsed_perq = tuple(records.parse_per_q(r) for r in recs if r["record"] == "per_q")
-        assert parsed_perq == summary.per_q
+        assert summary.findings
+        assert [r for r in recs if r["record"] == "pair"] == [
+            records.pair_record(p) for p in summary.findings
+        ]
+        assert [r for r in recs if r["record"] == "per_q"] == [
+            records.per_q_record(p) for p in summary.per_q
+        ]
         tail = [r for r in recs if r["record"] == "summary"][0]
         assert tail == records.summary_record(summary)
 
@@ -338,14 +379,14 @@ class TestEntryPoints:
 class TestRecordPrimitives:
     def test_fraction_roundtrip(self):
         for f in (Fraction(0), Fraction(-5, 3), Fraction(7), Fraction(1, 6240)):
-            assert records.parse_fraction(records.fraction_str(f)) == f
+            assert Fraction(records.fraction_str(f)) == f
 
     def test_lens_roundtrip(self):
         for space in (reduce(195, [6, 35]), reduce(9, [1, 3], 1)):
-            assert records.parse_lens(records.lens_record(space)) == space
+            assert LensSpace(**records.lens_record(space)) == space
 
     def test_witness_none_roundtrip(self):
-        assert records.parse_witness(records.witness_record(None)) is None
+        assert records.witness_record(None) is None
 
     def test_summary_counts_findings_from_per_order_rows(self):
         report = PairReport(reduce(5, [1, 2]), reduce(5, [1, 2]), False, None, True, None)

@@ -2,10 +2,13 @@
 
 Each digest is the sha256 of the CLI's stdout for one command.  The
 sweep digests were recorded before the sweep internals were simplified,
-the ``heat`` and ``isometric`` digests before the analytic layer was cut
-down to its exact results.  Any change to verdicts, witnesses,
-``first_differing_k``, ``pairs_checked``, heat coefficients or record
-formatting shows up here as a digest mismatch.
+the first ``heat`` and ``isometric`` digests before the analytic layer
+was cut down to its exact results, and the ``spectrum``, ``isospectral``
+and remaining ``isometric`` digests before the record parsers were
+deleted and huge paddings were applied as one convolution.  Any change
+to verdicts, witnesses, ``first_differing_k``, ``pairs_checked``, heat
+coefficients, multiplicities or record formatting shows up here as a
+digest mismatch.
 """
 
 import hashlib
@@ -90,6 +93,54 @@ GOLDEN = {
     "isometric 7 1 2 --format json-lines -- 2 3": (
         "d885ef055ef4f458608ad3f5b7ef614ec97e46de13a61267d2d935be1c8f1432",
         228,
+    ),
+    "spectrum 9 1 3 --kmax 40 --format json-lines": (
+        "72bde33e076079dfa1a58397bf467ac4ae2b4fd4ab5bebba2ab2f5647653e4e8",
+        1968,
+    ),
+    "spectrum 9 1 3 --kmax 40 --format csv": (
+        "1955c363975f738c0f5b011641b93ebcd6d69837b5f9cbc03e1d2f62217a1d17",
+        426,
+    ),
+    "spectrum 9 1 3 --kmax 40 --format text": (
+        "6efaa74a514491a5ec6fc7cac9212fd8e179e3bcb84aa184e4f2f03693e69553",
+        1600,
+    ),
+    "spectrum 12 1 5 --padding 1 --kmax 60 --format json-lines": (
+        "af04cadf9d206510020a98b2e00de7e22af99c4c2d998fcc390288b217a7cd0f",
+        2939,
+    ),
+    "spectrum 7 1 2 --padding 9 --kmax 6 --format csv": (
+        "e79ad7aebd9ff1433a248f33d7f99abb2a885c3e84a045b35b700fc54336c21d",
+        86,
+    ),
+    "isospectral 195 3 5 --format json-lines -- 6 35": (
+        "239a39ff273c2f87cba9f68beb4bda391dcbe0d03a9cc3f6385e5c5596c19c0b",
+        301,
+    ),
+    "isospectral 195 3 5 --format csv -- 6 35": (
+        "ba85a2b7670ad6c0b2ba2e1a29873542de650b5b7aa3669b0237b638f94424e2",
+        94,
+    ),
+    "isospectral 195 3 5 --format text -- 6 35": (
+        "df452d2bf8be5f0231f361afca9a2859a908fe5c77d76300cd72633dc5b0fdec",
+        39,
+    ),
+    "isospectral 7 1 2 --format json-lines -- 2 3": (
+        "01e48bf5f9f44ad1e6aee66070dd69a5ca9e8ec459bb2a51b0f74824b334bb54",
+        299,
+    ),
+    "isometric 7 1 2 --format csv -- 2 3": (
+        "42ca4eaf992ba0809df2c616ecc5b05a5200a03057de617389e08978147fcf52",
+        96,
+    ),
+    "isometric 7 1 2 --format text -- 2 3": (
+        "e331a55aab0739baa72458e0b8b418082110224da89e2985098e5e831cca9a28",
+        44,
+    ),
+    "isometric 195 3 5 --format json-lines -- 6 35": (
+        "ae4d14fd0bd67e70b8debe1b947d27d798d688beda45e87375b15e8e6db0e1b0",
+        193,
     ),
 }
 

@@ -71,11 +71,46 @@ def test_lattice_equals_dp_on_seeded_sample():
 
 
 def test_lattice_exact_where_row_offsets_leave_int64():
-    # At q = 2^61 - 1 the row offsets c * t pass 2^63 within 30 rows;
-    # the reference enumerates exponent tuples in Python integers.
-    q = 2**61 - 1
-    got = _kernels.multiplicities((1, 3), q, 0, 30)
-    assert list(got) == oracles.brute_multiplicities(LensSpace(q, (1, 3)), 30)
+    # At q = 2^61 - 1 the row offsets c * t pass 2^63 within 30 rows.  At
+    # the larger orders the step q / gcd and the start points pass it too;
+    # at L(2^64 + 1 : 1, 2^64) only they do (c = 1).  The reference
+    # enumerates exponent tuples in Python integers.
+    for q, rotations, padding in (
+        (2**61 - 1, (1, 3), 0),
+        (2**64 + 1, (1, 2), 0),
+        (2**64 + 1, (1, 2**64), 0),
+        (2**63 + 5, (3, 2**62), 0),
+        (10**30, (1, 3), 1),
+    ):
+        space = LensSpace(q, rotations, padding)
+        got = _kernels.multiplicities(rotations, q, padding, 30)
+        assert list(got) == oracles.brute_multiplicities(space, 30), q
+
+
+@pytest.mark.parametrize("rotations", [(1, 2), (3, 5), (2,), (1, 2, 3)])
+def test_padding_past_kmax_matches_brute_force(rotations):
+    # More padded coordinates than degrees take the binomial convolution.
+    q = 12 if len(rotations) < 3 else 7
+    for kmax in range(7):
+        for padding in (kmax + 1, kmax + 2, 40):
+            space = reduce(q, rotations, padding)
+            got = _kernels.multiplicities(space.rotations, space.q, padding, kmax)
+            assert got.dtype == np.int64
+            assert list(got) == oracles.brute_multiplicities(space, kmax), (space, kmax)
+
+
+def test_padding_past_kmax_takes_no_per_coordinate_pass(monkeypatch):
+    calls = []
+    real_cumsum = np.cumsum
+
+    def counting_cumsum(*args, **kwargs):
+        calls.append(1)
+        return real_cumsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "cumsum", counting_cumsum)
+    got = _kernels.multiplicities((1, 2), 7, 5_000_000, 2)
+    assert calls == []
+    assert list(got) == [1, 5_000_000, 12_500_002_500_001]
 
 
 def test_spectrum_counts_two_blocks_on_the_lattice(monkeypatch):
