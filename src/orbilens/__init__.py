@@ -35,7 +35,6 @@ from .search import (
     PairReport,
     PerQ,
     SweepSummary,
-    enumerate_classes,
     find_heat_degenerate,
     isometry_classes,
     summarize_sweep,

@@ -8,9 +8,17 @@ Subcommands:
   heat         exact heat-trace coefficient table of one 3D quotient
   sweep        range sweeps: rigidity check or heat-degenerate pair search
 
-Pair commands separate the two rotation vectors with a literal ``--``::
+Pair commands separate the two rotation vectors with a literal ``--``;
+any other command refuses a ``--`` tail as a usage error::
 
     orbilens isometric 195 3 5 -- 6 35
+
+Every format is read from the records of :mod:`orbilens.records`:
+``json-lines`` prints them, ``csv`` projects their fields onto a column
+tuple, and ``text`` lays them out for a reader.  ``--out`` spools the
+output to an anonymous temporary file and copies it into the target only
+when the command succeeds, so an error leaves the target as it was and a
+sweep holds one order in memory, as it does on stdout.
 
 Exit codes: 0 = computed (any verdict), 2 = usage or malformed input,
 3 = internal invariant violation.  Machine formats (``json-lines``,
@@ -21,10 +29,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
+import shutil
 import sys
+import tempfile
 import time
+from operator import itemgetter
 from typing import Optional
 
 from . import records
@@ -40,15 +50,50 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 FORMATS = ("text", "json-lines", "csv")
+PAIR_COMMANDS = ("isometric", "isospectral")
+
+# csv columns, each a field of the record the row is read from.
+SPECTRUM_COLUMNS = ("k", "eigenvalue", "multiplicity")
+HEAT_COLUMNS = ("exponent", "inv_pi", "sqrt_pi", "decimal")
+PER_Q_COLUMNS = ("q", "spaces", "classes", "pairs", "findings")
+PAIR_COLUMNS = ("q", "first", "second", "first_differing_k", "heat_verdict")
 
 
 def _jline(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _csv(out, columns, recs=()):
+    """Write the csv header and ``recs`` projected onto ``columns``.
+
+    Returns the writer of one more record, for rows that stream.
+    """
+    project = itemgetter(*columns)
+    w = csv.writer(out, lineterminator="\n")
+    w.writerow(columns)
+    w.writerows(map(project, recs))
+    return lambda rec: w.writerow(project(rec))
+
+
+def _command(sub, name: str, text: str, run, rotations: Optional[str] = "+", **ints):
+    """Add a subcommand with the arguments the commands share.
+
+    Those are ``q`` and ``rotations`` (with ``nargs=rotations``; left out
+    when it is None), ``--padding``, the integer options ``ints``
+    (``flag=(default, help)``), ``--format`` and ``--out``.  ``main``
+    calls ``run(args, out)``.
+    """
+    p = sub.add_parser(name, help=text)
+    p.set_defaults(run=run)
+    if rotations:
+        p.add_argument("q", type=int, help="group order")
+        p.add_argument("rotations", type=int, nargs=rotations, help="rotation residues")
+    p.add_argument("--padding", type=int, default=0, help="number of fixed coordinates")
+    for flag, (default, flag_help) in ints.items():
+        p.add_argument(f"--{flag}", type=int, default=default, help=flag_help)
     p.add_argument("--format", choices=FORMATS, default="text", help="output format")
-    p.add_argument("--out", default=None, help="write output to this file instead of stdout")
+    p.add_argument("--out", help="write output to this file instead of stdout")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,49 +104,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"orbilens {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("spectrum", help="eigenvalue/multiplicity table")
-    p.add_argument("q", type=int, help="group order")
-    p.add_argument("rotations", type=int, nargs="*", help="rotation residues")
-    p.add_argument("--padding", type=int, default=0, help="number of fixed coordinates")
-    p.add_argument("--kmax", type=int, default=10, help="largest harmonic degree")
-    _add_common(p)
-
-    for name, txt in (
-        ("isometric", "isometry verdict for a pair"),
-        ("isospectral", "spectral equality verdict for a pair"),
-    ):
-        p = sub.add_parser(name, help=f"{txt}; second vector after a literal --")
-        p.add_argument("q", type=int, help="group order (shared by the pair)")
-        p.add_argument("rotations", type=int, nargs="+", help="first rotation vector")
-        p.add_argument("--padding", type=int, default=0)
-        _add_common(p)
-
-    p = sub.add_parser("heat", help="exact heat-trace coefficients (3D)")
-    p.add_argument("q", type=int)
-    p.add_argument("rotations", type=int, nargs="+")
-    p.add_argument("--padding", type=int, default=0)
-    p.add_argument("--order", type=int, default=3, help="number of expansion terms (1..3)")
-    _add_common(p)
-
-    p = sub.add_parser("sweep", help="range sweep over isometry classes")
-    p.add_argument("qmin", type=int)
-    p.add_argument("qmax", type=int)
+    _command(sub, "spectrum", "eigenvalue/multiplicity table", _cmd_spectrum, rotations="*",
+             kmax=(10, "largest harmonic degree"))
+    for name, what in zip(PAIR_COMMANDS, ("isometry", "spectral equality")):
+        _command(sub, name, f"{what} verdict for a pair; second vector after a literal --",
+                 _cmd_pair)
+    _command(sub, "heat", "exact heat-trace coefficients (3D)", _cmd_heat,
+             order=(3, "number of expansion terms (1..3)"))
+    p = _command(
+        sub, "sweep", "range sweep over isometry classes", _cmd_sweep, rotations=None,
+        threads=(1, "accepted for compatibility; sweeps run serially and the output "
+                 "does not depend on it"),
+    )
+    p.add_argument("qmin", type=int, help="smallest group order")
+    p.add_argument("qmax", type=int, help="largest group order")
     p.add_argument(
         "--mode",
         choices=("rigidity", "heat-degenerate"),
         default="rigidity",
         help="assert no isospectral non-isometric pair / find heat-degenerate pairs",
     )
-    p.add_argument("--padding", type=int, default=0)
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="accepted for compatibility; sweeps run serially and the output "
-        "does not depend on it",
-    )
-    _add_common(p)
     return parser
 
 
@@ -124,123 +146,76 @@ def _pair_tail(tail: Optional[list[str]]) -> list[int]:
         raise PreconditionViolated(f"second rotation vector: {exc}") from None
 
 
-def _cmd_spectrum(args, tail, out) -> int:
+def _cmd_spectrum(args, out) -> None:
     space = _build_space(args.q, args.rotations, args.padding)
-    table = spectrum_table(space, args.kmax)
-    if args.format == "text":
-        print(f"# spectrum of {space}  (ambient dimension {space.ambient_dim})", file=out)
-        print(f"{'k':>6} {'eigenvalue':>14} {'multiplicity':>14}", file=out)
-        for row in table.rows:
-            print(f"{row.k:>6} {row.eigenvalue:>14} {row.multiplicity:>14}", file=out)
-    elif args.format == "json-lines":
-        env = records.envelope(
-            "spectrum",
-            {"space": records.lens_record(space), "kmax": args.kmax},
-            records.spectrum_table_record(table),
-        )
-        print(_jline(env), file=out)
+    result = records.spectrum_table_record(spectrum_table(space, args.kmax))
+    if args.format == "json-lines":
+        inputs = {"space": records.lens_record(space), "kmax": args.kmax}
+        print(_jline(records.envelope("spectrum", inputs, result)), file=out)
+    elif args.format == "csv":
+        _csv(out, SPECTRUM_COLUMNS, result["rows"])
     else:
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(["k", "eigenvalue", "multiplicity"])
-        for row in table.rows:
-            w.writerow([row.k, row.eigenvalue, row.multiplicity])
-    return EXIT_OK
+        print(f"# spectrum of {space}  (ambient dimension {space.ambient_dim})", file=out)
+        # The header is the record that maps each column to its own name.
+        for row in (dict(zip(SPECTRUM_COLUMNS, SPECTRUM_COLUMNS)), *result["rows"]):
+            print("{k:>6} {eigenvalue:>14} {multiplicity:>14}".format_map(row), file=out)
 
 
-def _cmd_pair(args, tail, out) -> int:
+def _cmd_pair(args, out) -> None:
     first = _build_space(args.q, args.rotations, args.padding)
-    second = _build_space(args.q, _pair_tail(tail), args.padding)
+    second = _build_space(args.q, _pair_tail(args.tail), args.padding)
     if args.command == "isometric":
         witness = is_isometric(first, second)
         verdict = witness is not None
-        detail = None
-        if witness is not None:
-            detail = (
-                f"unit={witness.unit} signs={witness.signs} permutation={witness.permutation}"
-            )
-        payload = {"verdict": verdict, "witness": records.witness_record(witness)}
+        result = {"verdict": verdict, "witness": records.witness_record(witness)}
+        detail = witness and (
+            f"unit={witness.unit} signs={witness.signs} permutation={witness.permutation}"
+        )
     else:
         decision = is_isospectral(first, second)
         verdict = decision.isospectral
+        result = {"verdict": verdict, "decision": records.decision_record(decision)}
         detail = decision.reason
-        payload = {"verdict": verdict, "decision": records.decision_record(decision)}
-    if args.format == "text":
-        print("YES" if verdict else "NO", file=out)
+    word = "YES" if verdict else "NO"
+    if args.format == "json-lines":
+        inputs = {"first": records.lens_record(first), "second": records.lens_record(second)}
+        print(_jline(records.envelope(args.command, inputs, result)), file=out)
+    elif args.format == "csv":
+        row = {"first": str(first), "second": str(second), "verdict": word, "detail": detail or ""}
+        _csv(out, tuple(row), [row])
+    else:
+        print(word, file=out)
         if detail:
             print(detail, file=out)
-    elif args.format == "json-lines":
-        env = records.envelope(
-            args.command,
-            {
-                "first": records.lens_record(first),
-                "second": records.lens_record(second),
-            },
-            payload,
-        )
-        print(_jline(env), file=out)
-    else:
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(["first", "second", "verdict", "detail"])
-        w.writerow([str(first), str(second), "YES" if verdict else "NO", detail or ""])
-    return EXIT_OK
 
 
-def _exponent_str(e) -> str:
-    return f"t^({e})"
-
-
-def _cmd_heat(args, tail, out) -> int:
+def _cmd_heat(args, out) -> None:
     space = _build_space(args.q, args.rotations, args.padding)
     expansion = heat_expansion_3d(space, order=args.order)
-    if args.format == "text":
+    result = records.heat_expansion_record(expansion)
+    if args.format == "json-lines":
+        inputs = {"space": records.lens_record(space), "order": args.order}
+        print(_jline(records.envelope("heat", inputs, result)), file=out)
+    elif args.format == "csv":
+        _csv(out, HEAT_COLUMNS, result["terms"])
+    else:
         print(
             f"# heat-trace expansion of {space}  "
             f"(isotropy orders alpha={expansion.alpha}, beta={expansion.beta})",
             file=out,
         )
-        for term in expansion.terms:
-            c = term.coefficient
-            print(
-                f"{_exponent_str(term.exponent):>10}  {c.render():<40} "
-                f"{records.decimal_str(float(c))}",
-                file=out,
-            )
-    elif args.format == "json-lines":
-        env = records.envelope(
-            "heat",
-            {"space": records.lens_record(space), "order": args.order},
-            records.heat_expansion_record(expansion),
-        )
-        print(_jline(env), file=out)
-    else:
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(["exponent", "inv_pi", "sqrt_pi", "decimal"])
-        for term in expansion.terms:
-            c = term.coefficient
-            w.writerow(
-                [
-                    str(term.exponent),
-                    records.fraction_str(c.inv_pi),
-                    records.fraction_str(c.sqrt_pi),
-                    records.decimal_str(float(c)),
-                ]
-            )
-    return EXIT_OK
+        for term, rec in zip(expansion.terms, result["terms"]):
+            power = f"t^({rec['exponent']})"
+            print(f"{power:>10}  {term.coefficient.render():<40} {rec['decimal']}", file=out)
 
 
-def _cmd_sweep(args, tail, out) -> int:
+def _cmd_sweep(args, out) -> None:
     if args.threads < 1:
         raise PreconditionViolated(f"threads must be >= 1, got {args.threads}")
     started = time.perf_counter()
-    csv_writer = None
+    rigidity = args.mode == "rigidity"
     if args.format == "csv":
-        csv_writer = csv.writer(out, lineterminator="\n")
-        if args.mode == "rigidity":
-            csv_writer.writerow(["q", "spaces", "classes", "pairs", "findings"])
-        else:
-            csv_writer.writerow(
-                ["q", "first", "second", "first_differing_k", "heat_verdict"]
-            )
+        row = _csv(out, PER_Q_COLUMNS if rigidity else PAIR_COLUMNS)
     results = []
     for per_q, findings in sweep_stream(args.mode, args.qmin, args.qmax, args.padding):
         for pair in findings:
@@ -253,29 +228,16 @@ def _cmd_sweep(args, tail, out) -> int:
                 )
             elif args.format == "json-lines":
                 print(_jline(records.pair_record(pair)), file=out)
-            else:
-                if args.mode != "rigidity":
-                    csv_writer.writerow(
-                        [
-                            per_q.q,
-                            str(pair.first),
-                            str(pair.second),
-                            pair.first_differing_k,
-                            pair.heat_verdict,
-                        ]
-                    )
+            elif not rigidity:
+                row({**records.pair_record(pair), "first": str(pair.first),
+                     "second": str(pair.second)})
+        rec = records.per_q_record(per_q)
         if args.format == "text":
-            print(
-                f"q={per_q.q} spaces={per_q.spaces} classes={per_q.classes} "
-                f"pairs={per_q.pairs} findings={per_q.findings}",
-                file=out,
-            )
+            print(" ".join(f"{c}={rec[c]}" for c in PER_Q_COLUMNS), file=out)
         elif args.format == "json-lines":
-            print(_jline(records.per_q_record(per_q)), file=out)
-        elif args.mode == "rigidity":
-            csv_writer.writerow(
-                [per_q.q, per_q.spaces, per_q.classes, per_q.pairs, per_q.findings]
-            )
+            print(_jline(rec), file=out)
+        elif rigidity:
+            row(rec)
         out.flush()
         # The summary counts findings from the per-order rows; drop this
         # order's reports before the next order is computed.
@@ -295,48 +257,37 @@ def _cmd_sweep(args, tail, out) -> int:
     elif args.format == "json-lines":
         print(_jline(summary), file=out)
     print(f"wall-clock: {time.perf_counter() - started:.3f}s", file=sys.stderr)
-    return EXIT_OK
-
-
-_HANDLERS = {
-    "spectrum": _cmd_spectrum,
-    "isometric": _cmd_pair,
-    "isospectral": _cmd_pair,
-    "heat": _cmd_heat,
-    "sweep": _cmd_sweep,
-}
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    tail: Optional[list[str]] = None
-    if "--" in argv:
-        cut = argv.index("--")
-        tail = argv[cut + 1 :]
-        argv = argv[:cut]
-    parser = build_parser()
+    cut = argv.index("--") if "--" in argv else len(argv)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv[:cut])
     except SystemExit as exc:
-        code = exc.code
-        return EXIT_OK if code in (0, None) else int(code)
-    out = sys.stdout
-    if getattr(args, "out", None):
+        return EXIT_OK if exc.code in (0, None) else int(exc.code)
+    args.tail = argv[cut + 1 :] if cut < len(argv) else None
+    try:
+        if args.tail is not None and args.command not in PAIR_COMMANDS:
+            raise PreconditionViolated(f"{args.command} takes no arguments after --")
+        if args.out is None:
+            args.run(args, sys.stdout)
+            return EXIT_OK
         # Appending checks that the file can be written without touching
-        # its contents; the output is buffered and replaces them only
-        # when the command succeeds.
+        # its contents.  The output is spooled to an anonymous file and
+        # copied into the target in place, only when the command succeeds;
+        # renaming a file over the target would replace a symlink or a
+        # device with a regular file.
         try:
             open(args.out, "a", encoding="utf-8").close()
         except OSError as exc:
-            print(f"error: cannot open --out file: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        out = io.StringIO()
-    try:
-        code = _HANDLERS[args.command](args, tail, out)
-        if out is not sys.stdout:
+            raise PreconditionViolated(f"cannot open --out file: {exc}") from None
+        with tempfile.TemporaryFile("w+", encoding="utf-8") as spool:
+            args.run(args, spool)
+            spool.seek(0)
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(out.getvalue())
-        return code
+                shutil.copyfileobj(spool, fh)
+        return EXIT_OK
     except InternalInvariant as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

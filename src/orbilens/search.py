@@ -25,7 +25,7 @@ from typing import Hashable, Iterable, Iterator, Optional
 import numpy as np
 
 from .core import IsometryWitness, LensSpace, _folded_orbit, sphere, units
-from .errors import PreconditionViolated, UnsupportedRank
+from .errors import PreconditionViolated
 from .heat import HeatVerdict, _heat_key
 from .spectrum import isospectral_bound, multiplicity_series
 
@@ -33,7 +33,6 @@ __all__ = [
     "PairReport",
     "PerQ",
     "SweepSummary",
-    "enumerate_classes",
     "isometry_classes",
     "sweep_stream",
     "summarize_sweep",
@@ -134,19 +133,7 @@ def _reduced_pair_count(q: int, phi: int) -> int:
     return (j2 - phi) // 2
 
 
-def enumerate_classes(
-    qmin: int, qmax: int, n: int = 2, padding: int = 0
-) -> Iterator[LensSpace]:
-    """One canonical representative per isometry class, q ascending."""
-    _check_range(qmin, qmax, n, padding)
-    for q in range(qmin, qmax + 1):
-        classes, _ = isometry_classes(q, padding)
-        yield from classes
-
-
-def _check_range(qmin: int, qmax: int, n: int, padding: int) -> None:
-    if n != 2:
-        raise UnsupportedRank(f"sweeps support exactly 2 rotation blocks, got n={n}")
+def _check_range(qmin: int, qmax: int, padding: int) -> None:
     if padding not in (0, 1):
         raise PreconditionViolated(f"padding must be 0 or 1, got {padding}")
     if not 1 <= qmin <= qmax:
@@ -204,7 +191,7 @@ def sweep_stream(
     mode: str, qmin: int, qmax: int, padding: int = 0
 ) -> Iterator[tuple[PerQ, list[PairReport]]]:
     """Per-order results in ascending order, yielded one order at a time."""
-    _check_range(qmin, qmax, 2, padding)
+    _check_range(qmin, qmax, padding)
     if mode == "rigidity":
         worker = _rigidity_slice
     elif mode == "heat-degenerate":

@@ -1,7 +1,9 @@
 import gc
+import io
 import json
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from dataclasses import asdict
 from fractions import Fraction
@@ -358,6 +360,61 @@ class TestSweepCommand:
             capsys, "sweep", "8", "24", "--threads", "8", "--format", "json-lines"
         )
         assert out1 == out8
+
+
+class TestOutAndTail:
+    def test_tail_after_non_pair_command_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "keep.txt"
+        target.write_bytes(b"keep\n")
+        for argv in (["spectrum", "7", "1", "2"], ["heat", "7", "1", "2"], ["sweep", "8", "9"]):
+            for out_args in ([], ["--out", str(target)]):
+                code, out, err = run_cli(capsys, *argv, *out_args, "--", "3")
+                assert code == 2 and out == ""
+                assert err.startswith("error: ") and "--" in err
+        assert target.read_bytes() == b"keep\n"
+
+    def test_out_bytes_equal_stdout(self, capsys, tmp_path):
+        argv = ["sweep", "8", "24", "--mode", "heat-degenerate", "--format", "text"]
+        target = tmp_path / "sweep.txt"
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert run_cli(capsys, *argv, "--out", str(target))[:2] == (0, "")
+        assert target.read_bytes() == out.encode()
+
+    def test_out_symlink_stays_a_symlink(self, capsys, tmp_path):
+        real = tmp_path / "real.txt"
+        real.write_text("old\n")
+        link = tmp_path / "link.txt"
+        link.symlink_to(real)
+        code, out, _ = run_cli(
+            capsys, "isometric", "7", "1", "2", "--out", str(link), "--", "2", "3"
+        )
+        assert code == 0 and out == ""
+        assert link.is_symlink() and real.read_text().startswith("YES\n")
+
+    def test_out_holds_one_order_in_memory(self, tmp_path, monkeypatch):
+        # A sweep to --out allocates about what it does to stdout, not
+        # the whole output (0.93 MB here).
+        argv = ["sweep", "190", "200", "--mode", "heat-degenerate", "--format", "json-lines"]
+        monkeypatch.setattr(sys, "stderr", io.StringIO())
+
+        def traced_peak(*extra):
+            tracemalloc.start()
+            try:
+                assert main([*argv, *extra]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # First-call allocations stay out of the measured runs.
+        main(["sweep", "190", "191", *argv[3:], "--out", str(tmp_path / "warm")])
+        to_out = traced_peak("--out", str(tmp_path / "out.jsonl"))
+        with open(tmp_path / "stdout.jsonl", "w", encoding="utf-8") as fh:
+            monkeypatch.setattr(sys, "stdout", fh)
+            to_stdout = traced_peak()
+        data = (tmp_path / "out.jsonl").read_bytes()
+        assert data == (tmp_path / "stdout.jsonl").read_bytes() and len(data) > 900_000
+        assert to_out < 1.25 * to_stdout
 
 
 class TestEntryPoints:

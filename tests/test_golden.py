@@ -5,17 +5,21 @@ sweep digests were recorded before the sweep internals were simplified,
 the first ``heat`` and ``isometric`` digests before the analytic layer
 was cut down to its exact results, and the ``spectrum``, ``isospectral``
 and remaining ``isometric`` digests before the record parsers were
-deleted and huge paddings were applied as one convolution.  Any change
+deleted and huge paddings were applied as one convolution.  The text
+and csv digests from ``spectrum 12 1 5 --padding 1 --kmax 12`` on, and
+the parser actions in ``PARSER_ACTIONS``, were recorded before the CLI
+was cut down to one argument helper and one csv projection.  Any change
 to verdicts, witnesses, ``first_differing_k``, ``pairs_checked``, heat
 coefficients, multiplicities or record formatting shows up here as a
 digest mismatch.
 """
 
+import argparse
 import hashlib
 
 import pytest
 
-from orbilens.cli import main
+from orbilens.cli import build_parser, main
 
 GOLDEN = {
     "sweep 8 40 --mode rigidity --padding 0 --format json-lines": (
@@ -142,6 +146,74 @@ GOLDEN = {
         "ae4d14fd0bd67e70b8debe1b947d27d798d688beda45e87375b15e8e6db0e1b0",
         193,
     ),
+    "spectrum 12 1 5 --padding 1 --kmax 12 --format text": (
+        "a1e94769560dd32fc3da9420f1c3aad73c1ab116c87717252554537731664c0f",
+        567,
+    ),
+    "spectrum 12 1 5 --padding 1 --kmax 12 --format csv": (
+        "f13de65f53c953f4ee541ea87bae08356d2f695fb509b6f06371932589b3eefd",
+        129,
+    ),
+    "spectrum 1 --kmax 3 --format text": (
+        "a1c540e67c56ad2662d149e44e4aa2b4788ac4b3a5ec37e7e7e9a4587954f20e",
+        231,
+    ),
+    "spectrum 1 --kmax 3 --format csv": (
+        "ddc385de113df11327cd7f3d7758897644a8e1c68f5aacd06f29fe8873dd56b3",
+        52,
+    ),
+    "isometric 195 3 5 --format text -- 6 35": (
+        "cfe72034a9f298fb79a6c1f2302673bb449c826d446b3efafdde95e6c48dc3ca",
+        3,
+    ),
+    "isometric 195 3 5 --format csv -- 6 35": (
+        "752f28846f1598207504574fc95649b4d6cbe825ac5c86b4bc4d755a5b79ee31",
+        59,
+    ),
+    "isospectral 7 1 2 --format text -- 2 3": (
+        "9180a58acfe8766b4dad6d06571d8f0e08e57d97992e19f76e696a2021ece79c",
+        43,
+    ),
+    "isospectral 7 1 2 --format csv -- 2 3": (
+        "83a793a53e264edf320bb49f75aa7ed006dbe30cfe28fbbef1cbcf65ec5e1c52",
+        93,
+    ),
+    "heat 195 3 5 --order 2 --format text": (
+        "a09546e9d5399e6d519d35783c78a15566ea2bf162435f7f80bb35d29ec5abc6",
+        224,
+    ),
+    "heat 195 3 5 --order 2 --format json-lines": (
+        "f5393778a57b1e6cc1d1d3d44dbdec2476a59c07e25246d76bb1c54611595154",
+        411,
+    ),
+    "heat 195 3 5 --order 2 --format csv": (
+        "634f25dd1234dd966ead19690b4805e61fdcafcc3c61fcc9f1cc7e2acd8c3948",
+        102,
+    ),
+    "sweep 8 24 --mode rigidity --padding 1 --format csv": (
+        "514f87faacc12949ad2efc14bcb90bb510b81152b6b115190ab2c4817c89f2cd",
+        260,
+    ),
+    "sweep 8 24 --mode rigidity --padding 1 --format text": (
+        "6a3b6d63701406b78fda7f0a21e2d46e02770b76de57426126a17fee61df7bcd",
+        866,
+    ),
+    "sweep 8 24 --mode heat-degenerate --padding 1 --format csv": (
+        "5065e309f656327f608a041612dcc5bf81d70df980c23226903a9aea1025931f",
+        1325,
+    ),
+    "sweep 8 24 --mode heat-degenerate --padding 1 --format text": (
+        "3e0c0a6615ddfd94df219b74deb44ada3fb45d42b95a49089c543f3222adbf35",
+        2752,
+    ),
+    "sweep 1 9 --format text": (
+        "9a16725898817cff10f58a743b5d97190613222eb694c4d373f2dde92166c1c7",
+        473,
+    ),
+    "sweep 1 9 --mode heat-degenerate --format csv": (
+        "0a3f1461199922ce113dde9ca282e14355814768de3819047e35c9e84c969c69",
+        46,
+    ),
 }
 
 
@@ -152,3 +224,75 @@ def test_sweep_stdout_matches_golden(capsys, command):
     digest, size = GOLDEN[command]
     assert len(data) == size
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+# Per subcommand: (dest, option strings, default, type name, nargs, choices)
+# of every argparse action, positionals first in their order, then the
+# options sorted by dest.  Help texts are not pinned.
+PARSER_ACTIONS = {
+    "spectrum": [
+        ("q", (), None, "int", None, None),
+        ("rotations", (), None, "int", "*", None),
+        ("format", ("--format",), "text", None, None, ("text", "json-lines", "csv")),
+        ("help", ("-h", "--help"), "==SUPPRESS==", None, 0, None),
+        ("kmax", ("--kmax",), 10, "int", None, None),
+        ("out", ("--out",), None, None, None, None),
+        ("padding", ("--padding",), 0, "int", None, None),
+    ],
+    "isometric": [
+        ("q", (), None, "int", None, None),
+        ("rotations", (), None, "int", "+", None),
+        ("format", ("--format",), "text", None, None, ("text", "json-lines", "csv")),
+        ("help", ("-h", "--help"), "==SUPPRESS==", None, 0, None),
+        ("out", ("--out",), None, None, None, None),
+        ("padding", ("--padding",), 0, "int", None, None),
+    ],
+    "isospectral": [
+        ("q", (), None, "int", None, None),
+        ("rotations", (), None, "int", "+", None),
+        ("format", ("--format",), "text", None, None, ("text", "json-lines", "csv")),
+        ("help", ("-h", "--help"), "==SUPPRESS==", None, 0, None),
+        ("out", ("--out",), None, None, None, None),
+        ("padding", ("--padding",), 0, "int", None, None),
+    ],
+    "heat": [
+        ("q", (), None, "int", None, None),
+        ("rotations", (), None, "int", "+", None),
+        ("format", ("--format",), "text", None, None, ("text", "json-lines", "csv")),
+        ("help", ("-h", "--help"), "==SUPPRESS==", None, 0, None),
+        ("order", ("--order",), 3, "int", None, None),
+        ("out", ("--out",), None, None, None, None),
+        ("padding", ("--padding",), 0, "int", None, None),
+    ],
+    "sweep": [
+        ("qmin", (), None, "int", None, None),
+        ("qmax", (), None, "int", None, None),
+        ("format", ("--format",), "text", None, None, ("text", "json-lines", "csv")),
+        ("help", ("-h", "--help"), "==SUPPRESS==", None, 0, None),
+        ("mode", ("--mode",), "rigidity", None, None, ("rigidity", "heat-degenerate")),
+        ("out", ("--out",), None, None, None, None),
+        ("padding", ("--padding",), 0, "int", None, None),
+        ("threads", ("--threads",), 1, "int", None, None),
+    ],
+}
+
+
+def _position(action):
+    # Positionals keep their order (the sort is stable); options sort by dest.
+    return (bool(action.option_strings), action.dest if action.option_strings else "")
+
+
+def parser_actions(parser):
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: [
+            (a.dest, tuple(a.option_strings), a.default,
+             getattr(a.type, "__name__", a.type), a.nargs, a.choices)
+            for a in sorted(p._actions, key=_position)
+        ]
+        for name, p in sub.choices.items()
+    }
+
+
+def test_parser_actions_unchanged():
+    assert parser_actions(build_parser()) == PARSER_ACTIONS

@@ -6,12 +6,12 @@ import pytest
 
 from orbilens import search
 from orbilens.core import LensSpace, canonical_form, is_isometric, sphere
-from orbilens.errors import PreconditionViolated, UnsupportedRank
+from orbilens.errors import PreconditionViolated
 from orbilens.heat import HeatVerdict, same_heat_expansion
 from orbilens.search import (
     MAX_SWEEP_ORDER,
     SMALL_Q_LIMIT,
-    enumerate_classes,
+    PerQ,
     find_heat_degenerate,
     isometry_classes,
     sweep_stream,
@@ -38,8 +38,11 @@ def brute_class_partition(q):
 
 class TestEnumerate:
     def test_trivial_order(self):
-        assert list(enumerate_classes(1, 1)) == [sphere()]
-        assert list(enumerate_classes(1, 1, padding=1)) == [sphere(2, 1)]
+        assert isometry_classes(1) == ([sphere()], 1)
+        assert isometry_classes(1, 1) == ([sphere(2, 1)], 1)
+        for padding in (0, 1):
+            [(per_q, findings)] = sweep_stream("rigidity", 1, 1, padding)
+            assert per_q == PerQ(1, 1, 1, 0, 0) and findings == []
 
     @pytest.mark.parametrize("q", [2, 5, 6, 7, 12, 16, 20])
     def test_class_count_matches_brute_partition(self, q):
@@ -75,18 +78,16 @@ class TestEnumerate:
         assert c1 in classes and c2 in classes and c1 != c2
 
     def test_deterministic_order(self):
-        a = list(enumerate_classes(5, 9))
-        b = list(enumerate_classes(5, 9))
-        assert a == b
-        assert [c.q for c in a] == sorted(c.q for c in a)
+        for q in range(5, 10):
+            assert isometry_classes(q) == isometry_classes(q)
+        assert [per_q.q for per_q, _ in sweep_stream("rigidity", 5, 9)] == [5, 6, 7, 8, 9]
 
     def test_range_validation(self):
-        with pytest.raises(PreconditionViolated):
-            list(enumerate_classes(10, 5))
-        with pytest.raises(UnsupportedRank):
-            list(enumerate_classes(2, 4, n=3))
-        with pytest.raises(PreconditionViolated):
-            list(enumerate_classes(2, 4, padding=2))
+        for mode in ("rigidity", "heat-degenerate"):
+            with pytest.raises(PreconditionViolated):
+                next(sweep_stream(mode, 10, 5))
+            with pytest.raises(PreconditionViolated):
+                next(sweep_stream(mode, 2, 4, padding=2))
 
     def test_orders_above_cap_refused_before_enumerating(self, monkeypatch):
         def refuse(*args):
@@ -94,15 +95,15 @@ class TestEnumerate:
 
         monkeypatch.setattr(search, "isometry_classes", refuse)
         top = MAX_SWEEP_ORDER + 1
-        with pytest.raises(PreconditionViolated, match=f"order {top} exceeds"):
-            next(enumerate_classes(top, top))
         for mode in ("rigidity", "heat-degenerate"):
             with pytest.raises(PreconditionViolated, match=f"order {top} exceeds"):
                 next(sweep_stream(mode, 8, top))
 
     def test_order_at_cap_accepted(self, monkeypatch):
         monkeypatch.setattr(search, "isometry_classes", lambda q, padding: ([sphere()], 1))
-        assert next(enumerate_classes(MAX_SWEEP_ORDER, MAX_SWEEP_ORDER)) == sphere()
+        for mode in ("rigidity", "heat-degenerate"):
+            per_q, _ = next(sweep_stream(mode, MAX_SWEEP_ORDER, MAX_SWEEP_ORDER))
+            assert per_q == PerQ(MAX_SWEEP_ORDER, 1, 1, 0, 0)
 
 
 class TestVerifyRigidity:
