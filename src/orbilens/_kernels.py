@@ -29,8 +29,15 @@ the coin-change dynamic program
 applied for ascending m, one numpy row of q residues at a time.  It
 serves one rotation block, three or more; its (mmax + 1) x q table is
 capped at MAX_TABLE_CELLS, and so is (mmax + 1) x variables for every
-count.  Each padded coordinate then adds one prefix sum; more padded
-coordinates than degrees are added as one binomial-weighted convolution.
+count.
+
+Every series step is one call of :func:`times_one_minus_zd`, the product
+with (1 - z^d)^power: the lag-step sums that build N, the lag-2 sum or
+difference that turns counts into multiplicities, and one prefix sum per
+padded coordinate.  More padded coordinates than degrees are added as
+one binomial-weighted convolution instead.  :mod:`orbilens.spectrum`
+runs the same operator on object arrays for the exact generating
+function and its pole orders.
 """
 
 from __future__ import annotations
@@ -88,14 +95,25 @@ def invariant_series(weights, q: int, mmax: int) -> np.ndarray:
     return cur[:, 0].copy()
 
 
-def _lag_cumsum(a: np.ndarray, lag: int) -> np.ndarray:
-    """out[j] = a[j] + a[j - lag] + a[j - 2 lag] + ..."""
+def times_one_minus_zd(a: np.ndarray, d: int, power: int) -> np.ndarray:
+    """Power series ``a * (1 - z^d)^power`` to len(a) terms, in a's dtype.
+
+    Laid out as rows of d degrees, multiplying by (1 - z^d) is a
+    difference down the rows and dividing by it a prefix sum down the
+    rows; each step runs in place on one padded copy.  Object arrays
+    stay exact in Python integers.
+    """
     n = len(a)
-    if lag >= n:
+    if d >= n:
         return a.copy()
-    padded = np.zeros(-(-n // lag) * lag, np.int64)
-    padded[:n] = a
-    return padded.reshape(-1, lag).cumsum(axis=0).ravel()[:n]
+    flat = np.zeros(-(-n // d) * d, a.dtype)
+    flat[:n] = a
+    rows = flat.reshape(-1, d)
+    for _ in range(power):
+        rows[1:] -= rows[:-1]
+    for _ in range(-power):
+        rows.cumsum(axis=0, out=rows)
+    return flat[:n]
 
 
 def _norm_counts(p1: int, p2: int, q: int, jmax: int) -> np.ndarray:
@@ -117,25 +135,21 @@ def _norm_counts(p1: int, p2: int, q: int, jmax: int) -> np.ndarray:
     # There x0 = (-(b/g) y * (a/g)^-1) mod step = (c t) mod step.
     c = (-(b // math.gcd(g, b)) * pow(a // g, -1, step)) % step
     tmax = jmax // h
-    if max(c * tmax, h, step + jmax) < 2**63:
-        t = np.arange(tmax + 1, dtype=np.int64)
-        x0 = (c * t) % step
-        y = h * t
-        starts = np.concatenate((y + x0, y + (step - x0)))
-    else:
-        # Python integers; a start above jmax is never counted, so it is
-        # clipped to jmax + 1 before it becomes int64.
-        rows = [(h * i, (c * i) % step) for i in range(tmax + 1)]
-        starts = np.array(
-            [min(s, jmax + 1) for y, x in rows for s in (y + x, y + step - x)], np.int64
-        )
+    # Offsets that could pass 2^63 stay exact as Python integers; a start
+    # past jmax is never counted, so only the rest become int64.
+    big = max(c * tmax, h, step + jmax) >= 2**63
+    t = np.arange(tmax + 1, dtype=object if big else np.int64)
+    x0 = (c * t) % step
+    y = h * t
+    starts = np.concatenate((y + x0, y + (step - x0)))
+    starts = starts[starts <= jmax].astype(np.int64, copy=False)
     # Rows -y and y give the same pair of starts, so every row counts
     # twice except y = 0, whose starts are 0 and step.
-    first = 2 * np.bincount(starts[starts <= jmax], minlength=jmax + 1)
+    first = 2 * np.bincount(starts, minlength=jmax + 1)
     first[0] -= 1
     if step <= jmax:
         first[step] -= 1
-    return _lag_cumsum(first.astype(np.int64, copy=False), step)
+    return times_one_minus_zd(first, step, -1)
 
 
 def multiplicities(rotations, q: int, padding: int, kmax: int) -> np.ndarray:
@@ -147,11 +161,10 @@ def multiplicities(rotations, q: int, padding: int, kmax: int) -> np.ndarray:
     """
     _check_range(q, kmax, 2 * len(rotations) + padding)
     if len(rotations) == 2:
-        mult = _lag_cumsum(_norm_counts(*rotations, q, kmax), 2)
+        mult = times_one_minus_zd(_norm_counts(*rotations, q, kmax), 2, -1)
     else:
         counts = invariant_series([w for p in rotations for w in (p, -p)], q, kmax)
-        mult = counts.copy()
-        mult[2:] -= counts[:-2]
+        mult = times_one_minus_zd(counts, 2, 1)
     # A padded coordinate multiplies the series by 1 / (1 - z), which
     # commutes with the lag-2 difference.  Past kmax coordinates, one
     # convolution with the coefficients C(i + W - 1, i) of 1 / (1 - z)^W
@@ -163,6 +176,4 @@ def multiplicities(rotations, q: int, padding: int, kmax: int) -> np.ndarray:
         for i in range(1, kmax + 1):
             weights.append(weights[-1] * (padding + i - 1) // i)
         return np.convolve(mult, np.array(weights, np.int64))[: kmax + 1]
-    for _ in range(padding):
-        mult = np.cumsum(mult)
-    return mult
+    return times_one_minus_zd(mult, 1, -padding)

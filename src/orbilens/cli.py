@@ -214,10 +214,12 @@ def _cmd_sweep(args, out) -> None:
         raise PreconditionViolated(f"threads must be >= 1, got {args.threads}")
     started = time.perf_counter()
     rigidity = args.mode == "rigidity"
+    # A refused range, padding or mode raises here, before any output.
+    stream = sweep_stream(args.mode, args.qmin, args.qmax, args.padding)
     if args.format == "csv":
         row = _csv(out, PER_Q_COLUMNS if rigidity else PAIR_COLUMNS)
     results = []
-    for per_q, findings in sweep_stream(args.mode, args.qmin, args.qmax, args.padding):
+    for per_q, findings in stream:
         for pair in findings:
             if args.format == "text":
                 tag = pair.heat_verdict or ("ISOSPECTRAL" if pair.isospectral else "")

@@ -206,8 +206,11 @@ def is_isometric(first: LensSpace, second: LensSpace) -> Optional[IsometryWitnes
     """Witness for an isometry between the two quotients, or None.
 
     Takes the first unit multiplier l mod q, in ascending order, whose
-    sorted sign-folded row equals the target's; for that l the per-entry
-    signs and the permutation are rebuilt explicitly.  Distinct group
+    sorted sign-folded row equals the target's.  The entries of l times
+    the first rotation vector then pair with the second's in that sorted
+    folded order, equal folds in index order; each sign is +1 where the
+    paired entries agree and -1 where they are negatives.  The trivial
+    group (q = 1, unit 1) gives the identity witness.  Distinct group
     orders can never be isometric.
     """
     if first.n != second.n or first.padding != second.padding:
@@ -216,30 +219,18 @@ def is_isometric(first: LensSpace, second: LensSpace) -> Optional[IsometryWitnes
         )
     if first.q != second.q:
         return None
-    q, n = first.q, first.n
-    if q == 1:
-        return IsometryWitness(1, (1,) * n, tuple(range(n)))
+    q = first.q
     ls = np.asarray(units(q), dtype=np.int64)
-    rows = np.sort(np.column_stack(_folded_orbit(first, ls)), axis=1)
-    target = sorted(min(p, q - p) for p in second.rotations)
-    hits = np.flatnonzero((rows == target).all(axis=1))
+    folded = np.column_stack(_folded_orbit(first, ls))
+    target = np.array([min(p, q - p) for p in second.rotations])
+    hits = np.flatnonzero((np.sort(folded, axis=1) == np.sort(target)).all(axis=1))
     if not hits.size:
         return None
     l = int(ls[hits[0]])
-    signs = [0] * n
-    perm = [-1] * n
-    used = [False] * n
-    for i, p in enumerate(first.rotations):
-        v = (l * p) % q
-        for j, t in enumerate(second.rotations):
-            if used[j]:
-                continue
-            if t == v:
-                signs[i], perm[i], used[j] = 1, j, True
-                break
-            if t == q - v:
-                signs[i], perm[i], used[j] = -1, j, True
-                break
+    src = np.argsort(folded[hits[0]], kind="stable").tolist()
+    dst = np.argsort(target, kind="stable").tolist()
+    perm = [j for _, j in sorted(zip(src, dst))]
+    signs = [1 if second.rotations[j] == l * p % q else -1 for p, j in zip(first.rotations, perm)]
     return IsometryWitness(l, tuple(signs), tuple(perm))
 
 
@@ -260,8 +251,6 @@ def canonical_form(space: LensSpace) -> LensSpace:
     sorted sign-folded rows.  Two descriptors are isometric iff their
     canonical forms are equal.
     """
-    if space.q == 1:
-        return space
     rows = np.sort(np.column_stack(_folded_orbit(space)), axis=1)
     best = rows[np.lexsort(rows.T[::-1])[0]]
     return LensSpace(space.q, tuple(best.tolist()), space.padding)

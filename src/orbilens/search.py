@@ -190,7 +190,11 @@ def _heat_slice(q: int, padding: int) -> tuple[PerQ, list[PairReport]]:
 def sweep_stream(
     mode: str, qmin: int, qmax: int, padding: int = 0
 ) -> Iterator[tuple[PerQ, list[PairReport]]]:
-    """Per-order results in ascending order, yielded one order at a time."""
+    """Per-order results in ascending order, yielded one order at a time.
+
+    The range, the padding and the mode are checked by the call itself,
+    before any order is computed.
+    """
     _check_range(qmin, qmax, padding)
     if mode == "rigidity":
         worker = _rigidity_slice
@@ -198,8 +202,7 @@ def sweep_stream(
         worker = _heat_slice
     else:
         raise PreconditionViolated(f"unknown sweep mode {mode!r}")
-    for q in range(qmin, qmax + 1):
-        yield worker(q, padding)
+    return (worker(q, padding) for q in range(qmin, qmax + 1))
 
 
 def summarize_sweep(

@@ -135,9 +135,9 @@ class GeneratingFunction:
 
     def taylor(self, kmax: int) -> list[int]:
         """Multiplicity series recovered by dividing by (1 - z^q)^(2n)."""
-        num = list(self.numerator[: kmax + 1])
-        num += [0] * (kmax + 1 - len(num))
-        return _times_one_minus_zd(num, self.q, -self.denominator_power)
+        num = np.zeros(kmax + 1, dtype=object)
+        num[: len(self.numerator)] = self.numerator[: kmax + 1]
+        return _kernels.times_one_minus_zd(num, self.q, -self.denominator_power).tolist()
 
     def evaluate(self, z: Union[Fraction, complex, float]):
         """Evaluate the rational form; exact when z is a Fraction."""
@@ -163,8 +163,8 @@ def generating_function(space: LensSpace) -> GeneratingFunction:
     q, n = space.q, space.n
     upper = 2 * n * q + 2 * n + 2
     cap = 2 * n * q - 2 * n + 2
-    mult = [int(m) for m in multiplicity_series(space, upper)]
-    coeffs = _times_one_minus_zd(mult, q, 2 * n)
+    mult = multiplicity_series(space, upper).astype(object)
+    coeffs = _kernels.times_one_minus_zd(mult, q, 2 * n).tolist()
     if any(coeffs[cap + 1 :]):
         raise InternalInvariant(
             f"numerator fails to terminate by degree {cap} for {space}"
@@ -172,22 +172,6 @@ def generating_function(space: LensSpace) -> GeneratingFunction:
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return GeneratingFunction(q, n, space.padding, tuple(coeffs), 2 * n)
-
-
-def _times_one_minus_zd(coeffs: list[int], d: int, power: int) -> list[int]:
-    """Power series coeffs * (1 - z^d)^power, exactly, to len(coeffs) terms.
-
-    A positive power takes lag-d differences, a negative one lag-d prefix
-    sums; both are exact in Python integers.
-    """
-    out = list(coeffs)
-    for _ in range(power):
-        for i in range(len(out) - 1, d - 1, -1):
-            out[i] -= out[i - d]
-    for _ in range(-power):
-        for i in range(d, len(out)):
-            out[i] += out[i - d]
-    return out
 
 
 def _mobius(m: int) -> int:
@@ -381,16 +365,16 @@ def pole_order(space: LensSpace, k: int) -> int:
     if k < 1 or space.q % k != 0:
         raise NotADivisor(f"k={k} does not divide q={space.q}")
     gf = generating_function(space)
-    num = list(gf.numerator)
+    num = np.array(gf.numerator + (0,) * k, dtype=object)
     v = 0
     while v < gf.denominator_power:
-        quot = num + [0] * k
+        quot = num
         for d in range(1, k + 1):
             if k % d == 0:
-                quot = _times_one_minus_zd(quot, d, -_mobius(k // d))
-        if any(quot[len(num) :]):
+                quot = _kernels.times_one_minus_zd(quot, d, -_mobius(k // d))
+        if any(quot[-k:]):
             break
-        num, v = quot[: len(num)], v + 1
+        num[:-k], v = quot[:-k], v + 1
     return gf.denominator_power - v
 
 

@@ -221,3 +221,23 @@ def pole_orders_certified(space: LensSpace, orders: dict[int, int]) -> bool:
     return not any(
         _cancels_poles(space, {**orders, k: r - 1}) for k, r in orders.items() if r > 0
     )
+
+
+# ---------------------------------------------------------------------------
+# series products in Python integers
+
+
+def times_one_minus_zd(coeffs, d: int, power: int) -> list[int]:
+    """Power series coeffs * (1 - z^d)^power, exactly, to len(coeffs) terms.
+
+    A positive power takes lag-d differences, a negative one lag-d prefix
+    sums, one entry at a time in Python integers.
+    """
+    out = [int(c) for c in coeffs]
+    for _ in range(power):
+        for i in range(len(out) - 1, d - 1, -1):
+            out[i] -= out[i - d]
+    for _ in range(-power):
+        for i in range(d, len(out)):
+            out[i] += out[i - d]
+    return out

@@ -277,6 +277,11 @@ class TestSweepCommand:
         code, _, err = run_cli(capsys, "sweep", "10", "5")
         assert code == 2
 
+    def test_refused_csv_sweep_prints_nothing(self, capsys):
+        for argv in ("sweep 10 5", "sweep 8 5000", "sweep 8 9 --padding 2"):
+            code, out, err = run_cli(capsys, *argv.split(), "--format", "csv")
+            assert code == 2 and out == "" and err.startswith("error: "), argv
+
     def test_order_beyond_sweep_limit_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "100000", "100000")
         assert code == 2 and out == ""

@@ -1,6 +1,8 @@
-"""CLI stdout pinned byte for byte.
+"""CLI stdout and library results pinned byte for byte.
 
-Each digest is the sha256 of the CLI's stdout for one command.  The
+Each ``GOLDEN`` digest is the sha256 of the CLI's stdout for one
+command; the library digests at the end pin witnesses, canonical forms,
+generating functions and pole orders over fixed samples.  The
 sweep digests were recorded before the sweep internals were simplified,
 the first ``heat`` and ``isometric`` digests before the analytic layer
 was cut down to its exact results, and the ``spectrum``, ``isospectral``
@@ -16,10 +18,17 @@ digest mismatch.
 
 import argparse
 import hashlib
+import itertools
+import math
+import random
 
 import pytest
 
+import orbilens
 from orbilens.cli import build_parser, main
+from orbilens.core import LensSpace, canonical_form, is_isometric, sphere
+from orbilens.search import isometry_classes
+from orbilens.spectrum import generating_function, order_spectrum, pole_order
 
 GOLDEN = {
     "sweep 8 40 --mode rigidity --padding 0 --format json-lines": (
@@ -296,3 +305,85 @@ def parser_actions(parser):
 
 def test_parser_actions_unchanged():
     assert parser_actions(build_parser()) == PARSER_ACTIONS
+
+
+# Library results pinned as one sha256 each, recorded before the series
+# operator, the isometry orbit and the package exports were deduplicated.
+ISOMETRY_DIGEST = "e4f77fee9aa502c3e7a7ea0757eb6c0576c2a138617165f12a6cdb5e1420b3db"
+ANALYTIC_DIGEST = "86590be5f7d389a7f99e6347ffd724003be30e8c40930f271d12c7b86a1d05a5"
+
+# Every name ``orbilens`` exported when its import lists were written out.
+PACKAGE_NAMES = (
+    "GeneratingFunction", "HeatCoefficient", "HeatExpansion", "HeatTerm",
+    "HeatVerdict", "IsometryWitness", "IsospectralDecision", "LensSpace",
+    "PairReport", "PerQ", "ResidueProfile", "SingularDecomposition",
+    "SpectrumRow", "SpectrumTable", "StratumTerm", "SweepSummary",
+    "apply_witness", "canonical_form", "core", "csc2_sum", "csc4_sum",
+    "decompose_singular", "eigenvalue", "errors", "evaluate_F",
+    "find_heat_degenerate", "generating_function", "heat",
+    "heat_expansion_3d", "is_isometric", "is_isospectral", "isometry_classes",
+    "isospectral_bound", "multiplicity", "multiplicity_series",
+    "order_spectrum", "pad", "pole_order", "reduce", "residue_case3",
+    "residue_cot_sum", "same_heat_expansion", "search", "spectrum",
+    "spectrum_table", "sphere", "stratum_b01", "summarize_sweep",
+    "sweep_stream", "verify_rigidity",
+)
+
+
+def isometry_sample():
+    """(first, second) pairs of descriptors, seeded.
+
+    Every reduced rotation tuple, in every entry order, for n = 1, 2, 3
+    at q <= 40, 40, 12 is paired with a random isometric image of itself
+    (unit, signs and order drawn at random) and with a random tuple of
+    its order.  Tuples such as (p, q - p) have equal folds, so their
+    witnesses pin how ties are paired.  The spheres (q = 1) pair with
+    themselves at paddings 0 and 1.
+    """
+    rng = random.Random(2016)
+    for n, qmax in ((1, 40), (2, 40), (3, 12)):
+        for padding in (0, 1):
+            yield sphere(n, padding), sphere(n, padding)
+        for q in range(2, qmax + 1):
+            tuples = [t for t in itertools.product(range(1, q), repeat=n) if math.gcd(q, *t) == 1]
+            ls = [l for l in range(1, q) if math.gcd(l, q) == 1]
+            for t in tuples:
+                unit = rng.choice(ls)
+                image = [rng.choice((1, -1)) * unit * p % q for p in t]
+                rng.shuffle(image)
+                yield LensSpace(q, t), LensSpace(q, tuple(image))
+                yield LensSpace(q, t), LensSpace(q, rng.choice(tuples))
+
+
+def analytic_lines():
+    """``generating_function`` numerator, ``taylor(3q + 5)`` and, for
+    q <= 30, ``pole_order`` at every divisor, for every class with
+    q <= 60 at paddings 0 and 1."""
+    for padding in (0, 1):
+        for q in range(1, 61):
+            for space in isometry_classes(q, padding)[0]:
+                gf = generating_function(space)
+                yield repr((space, gf.numerator, gf.taylor(3 * q + 5)))
+                if q <= 30:
+                    yield repr([pole_order(space, k) for k in order_spectrum(space)])
+
+
+def _digest(lines) -> str:
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(line.encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_isometry_witnesses_and_canonical_forms_unchanged():
+    assert _digest(
+        repr((is_isometric(a, b), canonical_form(a))) for a, b in isometry_sample()
+    ) == ISOMETRY_DIGEST
+
+
+def test_generating_functions_and_pole_orders_unchanged():
+    assert _digest(analytic_lines()) == ANALYTIC_DIGEST
+
+
+def test_package_keeps_every_exported_name():
+    assert set(PACKAGE_NAMES) <= set(orbilens.__all__)

@@ -99,18 +99,50 @@ def test_padding_past_kmax_matches_brute_force(rotations):
             assert list(got) == oracles.brute_multiplicities(space, kmax), (space, kmax)
 
 
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_series_operator_matches_python_reference(dtype):
+    rng = random.Random(1984)
+    for length in range(31):
+        for d in range(1, 10):
+            for power in range(-4, 5):
+                coeffs = [rng.randint(-1000, 1000) for _ in range(length)]
+                a = np.array(coeffs, dtype=dtype)
+                got = _kernels.times_one_minus_zd(a, d, power)
+                assert got.dtype == a.dtype and list(a) == coeffs
+                assert list(got) == oracles.times_one_minus_zd(coeffs, d, power)
+                back = _kernels.times_one_minus_zd(got, d, -power)
+                assert list(back) == coeffs, (length, d, power)
+
+
+def test_series_operator_stays_exact_in_python_integers():
+    a = np.array([2**70, -(2**65), 3], dtype=object)
+    got = _kernels.times_one_minus_zd(a, 1, -2)
+    assert list(got) == oracles.times_one_minus_zd(list(a), 1, -2)
+    assert all(type(c) is int for c in got)
+
+
 def test_padding_past_kmax_takes_no_per_coordinate_pass(monkeypatch):
     calls = []
     real_cumsum = np.cumsum
+    real_operator = _kernels.times_one_minus_zd
 
     def counting_cumsum(*args, **kwargs):
         calls.append(1)
         return real_cumsum(*args, **kwargs)
 
+    def counting_operator(a, d, power):
+        # A padded coordinate is the step d = 1; the lattice sums use d >= 2.
+        if d == 1:
+            calls.append(power)
+        return real_operator(a, d, power)
+
     monkeypatch.setattr(np, "cumsum", counting_cumsum)
+    monkeypatch.setattr(_kernels, "times_one_minus_zd", counting_operator)
     got = _kernels.multiplicities((1, 2), 7, 5_000_000, 2)
     assert calls == []
     assert list(got) == [1, 5_000_000, 12_500_002_500_001]
+    _kernels.multiplicities((1, 2), 7, 2, 2)
+    assert calls == [-2]
 
 
 def test_spectrum_counts_two_blocks_on_the_lattice(monkeypatch):

@@ -83,11 +83,14 @@ class TestEnumerate:
         assert [per_q.q for per_q, _ in sweep_stream("rigidity", 5, 9)] == [5, 6, 7, 8, 9]
 
     def test_range_validation(self):
+        # The call itself refuses, before any order is pulled.
         for mode in ("rigidity", "heat-degenerate"):
             with pytest.raises(PreconditionViolated):
-                next(sweep_stream(mode, 10, 5))
+                sweep_stream(mode, 10, 5)
             with pytest.raises(PreconditionViolated):
-                next(sweep_stream(mode, 2, 4, padding=2))
+                sweep_stream(mode, 2, 4, padding=2)
+        with pytest.raises(PreconditionViolated, match="unknown sweep mode"):
+            sweep_stream("bogus", 8, 9)
 
     def test_orders_above_cap_refused_before_enumerating(self, monkeypatch):
         def refuse(*args):
