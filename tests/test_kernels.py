@@ -131,7 +131,8 @@ def test_padding_past_kmax_takes_no_per_coordinate_pass(monkeypatch):
         return real_cumsum(*args, **kwargs)
 
     def counting_operator(a, d, power):
-        # A padded coordinate is the step d = 1; the lattice sums use d >= 2.
+        # A padded coordinate is the step d = 1; at q = 7 the lattice sums
+        # use d = 7 and d = 2.
         if d == 1:
             calls.append(power)
         return real_operator(a, d, power)
