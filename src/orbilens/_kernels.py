@@ -54,20 +54,20 @@ from .errors import CountingRangeExceeded, PreconditionViolated
 MAX_TABLE_CELLS = 1 << 24
 
 
-def _check_range(q: int, mmax: int, nvars: int) -> None:
+def _check_range(q: int, kmax: int, nvars: int) -> None:
     if q < 1:
         raise PreconditionViolated(f"q must be >= 1, got {q}")
-    if mmax < 0:
-        raise PreconditionViolated(f"mmax must be >= 0, got {mmax}")
-    if (mmax + 1) * nvars > MAX_TABLE_CELLS:
+    if kmax < 0:
+        raise PreconditionViolated(f"kmax must be >= 0, got {kmax}")
+    if (kmax + 1) * nvars > MAX_TABLE_CELLS:
         raise CountingRangeExceeded(
-            f"degree {mmax} with {nvars} variables needs {mmax + 1} x {nvars} "
+            f"degree {kmax} with {nvars} variables needs {kmax + 1} x {nvars} "
             f"counting cells, above the {MAX_TABLE_CELLS} cell limit"
         )
-    # Counts are bounded by the unrestricted compositions of mmax.
-    if nvars and math.comb(mmax + nvars - 1, nvars - 1) >= 2**63:
+    # Counts are bounded by the unrestricted compositions of kmax.
+    if nvars and math.comb(kmax + nvars - 1, nvars - 1) >= 2**63:
         raise CountingRangeExceeded(
-            f"degree {mmax} with {nvars} variables exceeds the int64 counting range"
+            f"degree {kmax} with {nvars} variables exceeds the int64 counting range"
         )
 
 

@@ -16,6 +16,7 @@ orbit is one sorted folded row per unit, from :func:`_folded_orbit`.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -49,6 +50,14 @@ __all__ = [
 MAX_UNIT_ORDER = 1 << 20
 
 
+def _integer(x, what: str) -> int:
+    """``x`` as an int when ``operator.index`` takes it (numpy integers do)."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise PreconditionViolated(f"{what} must be an integer, got {x!r}") from None
+
+
 @dataclass(frozen=True)
 class LensSpace:
     """Reduced lens-space descriptor.
@@ -58,7 +67,9 @@ class LensSpace:
                  the trivial-group case q = 1);
     padding   -- number W of appended fixed coordinates.
 
-    The ambient sphere dimension is 2n + W - 1.
+    The ambient sphere dimension is 2n + W - 1.  A rotation or padding
+    is any integer ``operator.index`` takes, numpy integers included, and
+    is stored as an int.
     """
 
     q: int
@@ -68,7 +79,8 @@ class LensSpace:
     def __post_init__(self):
         if not isinstance(self.q, int) or self.q < 1:
             raise InvalidOrder(f"q must be a positive integer, got {self.q!r}")
-        object.__setattr__(self, "rotations", tuple(int(p) for p in self.rotations))
+        object.__setattr__(self, "rotations", tuple(_integer(p, "rotation") for p in self.rotations))
+        object.__setattr__(self, "padding", _integer(self.padding, "padding"))
         if not self.rotations:
             raise PreconditionViolated("rotation list must be non-empty")
         if self.padding < 0:
@@ -146,24 +158,23 @@ def reduce(q: int, raw, padding: int = 0) -> LensSpace:
     Divides the common factor of the entries and q out of both, then
     reduces every entry into [1, q-1].  An entry that vanishes mod the
     reduced q is rejected: a fixed coordinate pair must be declared via
-    ``padding`` (use :func:`sphere` for the trivial group).
+    ``padding`` (use :func:`sphere` for the trivial group).  The padding
+    is checked by :class:`LensSpace`.
     """
     if not isinstance(q, int) or q <= 0:
         raise InvalidOrder(f"q must be a positive integer, got {q!r}")
-    raw = [int(r) for r in raw]
+    raw = [_integer(r, "rotation") for r in raw]
     if not raw:
         raise PreconditionViolated("rotation list must be non-empty")
-    if padding < 0:
-        raise PreconditionViolated(f"padding must be >= 0, got {padding}")
     g = math.gcd(q, *raw)
     q_red = q // g
-    entries = tuple((r // g) % q_red for r in raw) if q_red > 1 else tuple(0 for _ in raw)
-    if q_red == 1 or any(e == 0 for e in entries):
-        if q_red == 1:
-            raise ZeroRotation(
-                f"input reduces to the trivial group (q={q}, gcd={g}); "
-                "construct the sphere with sphere(n, padding)"
-            )
+    if q_red == 1:
+        raise ZeroRotation(
+            f"input reduces to the trivial group (q={q}, gcd={g}); "
+            "construct the sphere with sphere(n, padding)"
+        )
+    entries = tuple((r // g) % q_red for r in raw)
+    if 0 in entries:
         raise ZeroRotation(
             f"rotation divisible by reduced order {q_red}; model it as padding"
         )
@@ -179,6 +190,8 @@ def sphere(n: int = 2, padding: int = 0) -> LensSpace:
 
 def units(q: int) -> list[int]:
     """Multiplicative units mod q (as representatives 1..q)."""
+    if q < 1:
+        raise InvalidOrder(f"q must be a positive integer, got {q!r}")
     if q > MAX_UNIT_ORDER:
         raise PreconditionViolated(
             f"order {q} exceeds the unit-orbit limit of {MAX_UNIT_ORDER}"
@@ -202,6 +215,14 @@ def _folded_orbit(space: LensSpace, ls: Optional[np.ndarray] = None) -> list[np.
     return folded
 
 
+def _check_pair_shape(first: LensSpace, second: LensSpace) -> None:
+    """Refuse a pair whose rotation counts or paddings differ."""
+    if first.n != second.n or first.padding != second.padding:
+        raise DimensionMismatch(
+            f"shape mismatch: n={first.n},W={first.padding} vs n={second.n},W={second.padding}"
+        )
+
+
 def is_isometric(first: LensSpace, second: LensSpace) -> Optional[IsometryWitness]:
     """Witness for an isometry between the two quotients, or None.
 
@@ -213,10 +234,7 @@ def is_isometric(first: LensSpace, second: LensSpace) -> Optional[IsometryWitnes
     group (q = 1, unit 1) gives the identity witness.  Distinct group
     orders can never be isometric.
     """
-    if first.n != second.n or first.padding != second.padding:
-        raise DimensionMismatch(
-            f"shape mismatch: n={first.n},W={first.padding} vs n={second.n},W={second.padding}"
-        )
+    _check_pair_shape(first, second)
     if first.q != second.q:
         return None
     q = first.q

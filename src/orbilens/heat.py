@@ -55,9 +55,6 @@ class HeatCoefficient:
     inv_pi: Fraction = Fraction(0)
     sqrt_pi: Fraction = Fraction(0)
 
-    def __add__(self, other: "HeatCoefficient") -> "HeatCoefficient":
-        return HeatCoefficient(self.inv_pi + other.inv_pi, self.sqrt_pi + other.sqrt_pi)
-
     def __float__(self) -> float:
         try:
             return float(self.inv_pi) / math.pi + float(self.sqrt_pi) * math.sqrt(math.pi)
@@ -119,18 +116,19 @@ def stratum_b01(m: int) -> StratumTerm:
 class HeatTerm:
     exponent: Fraction
     coefficient: HeatCoefficient
-    exact: bool = True
 
 
 @dataclass(frozen=True)
 class HeatExpansion:
-    """Truncated small-time expansion sum_j c_j t^(e_j), paper convention."""
+    """Truncated small-time expansion sum_j c_j t^(e_j), paper convention.
+
+    Every term is exact; the truncation order is ``len(terms)``.
+    """
 
     space: LensSpace
     alpha: int
     beta: int
     terms: tuple[HeatTerm, ...]
-    truncation_order: int
     strata: tuple[StratumTerm, ...]
 
     def coefficients(self) -> tuple[HeatCoefficient, ...]:
@@ -157,21 +155,14 @@ def heat_expansion_3d(space: LensSpace, order: int = 3) -> HeatExpansion:
     q = space.q
     # The first plane's circle (isotropy beta), then the second's (alpha).
     strata = [stratum_b01(m) for m in (beta, alpha) if m > 1]
-
-    def circle_part(j: int) -> Fraction:
-        acc = Fraction(0)
-        for term in strata:
-            acc += (term.b0 if j == 0 else term.b1) / term.isotropy_order
-        return acc
-
+    b0 = sum((t.b0 / t.isotropy_order for t in strata), Fraction(0))
+    b1 = sum((t.b1 / t.isotropy_order for t in strata), Fraction(0))
     terms = []
-    for j in range(order):
-        expo = Fraction(2 * j - 3, 2)
-        coeff = HeatCoefficient(inv_pi=Fraction(1, 32 * q * math.factorial(j)))
-        if j in (1, 2):
-            coeff = coeff + HeatCoefficient(sqrt_pi=circle_part(j - 1))
-        terms.append(HeatTerm(expo, coeff))
-    return HeatExpansion(space, alpha, beta, tuple(terms), order, tuple(strata))
+    # The sqrt(pi) part at exponent -3/2 + j is none, then sum b_0/m, then sum b_1/m.
+    for j, circle in enumerate((Fraction(0), b0, b1)[:order]):
+        smooth = Fraction(1, 32 * q * math.factorial(j))
+        terms.append(HeatTerm(Fraction(2 * j - 3, 2), HeatCoefficient(smooth, circle)))
+    return HeatExpansion(space, alpha, beta, tuple(terms), tuple(strata))
 
 
 class HeatVerdict(enum.Enum):

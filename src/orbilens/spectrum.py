@@ -28,9 +28,8 @@ from typing import Optional, Union
 import numpy as np
 
 from . import _kernels
-from .core import LensSpace
+from .core import LensSpace, _check_pair_shape
 from .errors import (
-    DimensionMismatch,
     InternalInvariant,
     NotADivisor,
     PoleEvaluation,
@@ -70,9 +69,12 @@ def multiplicity(space: LensSpace, k: int) -> int:
 
 
 def multiplicity_series(space: LensSpace, kmax: int) -> np.ndarray:
-    """Multiplicities for k = 0..kmax as an int64 array, exactly."""
-    if kmax < 0:
-        raise PreconditionViolated(f"kmax must be >= 0, got {kmax}")
+    """Multiplicities for k = 0..kmax as an int64 array, exactly.
+
+    A negative kmax, or a degree beyond the exact int64 counting range,
+    is refused by :func:`orbilens._kernels.multiplicities` before any
+    counting.
+    """
     return _kernels.multiplicities(space.rotations, space.q, space.padding, kmax)
 
 
@@ -135,6 +137,8 @@ class GeneratingFunction:
 
     def taylor(self, kmax: int) -> list[int]:
         """Multiplicity series recovered by dividing by (1 - z^q)^(2n)."""
+        # Only the degree's sign is checked: the exact object counts have no range.
+        _kernels._check_range(self.q, kmax, 0)
         num = np.zeros(kmax + 1, dtype=object)
         num[: len(self.numerator)] = self.numerator[: kmax + 1]
         return _kernels.times_one_minus_zd(num, self.q, -self.denominator_power).tolist()
@@ -216,10 +220,7 @@ def is_isospectral(first: LensSpace, second: LensSpace) -> IsospectralDecision:
     spectral invariant), so those pairs are refused without a scan.
     Otherwise multiplicities are compared through the certifying bound.
     """
-    if first.n != second.n or first.padding != second.padding:
-        raise DimensionMismatch(
-            f"shape mismatch: n={first.n},W={first.padding} vs n={second.n},W={second.padding}"
-        )
+    _check_pair_shape(first, second)
     if first.q != second.q:
         return IsospectralDecision(
             False,

@@ -241,7 +241,7 @@ class TestHeatCommand:
             c = term.coefficient
             assert Fraction(rec["exponent"]) == term.exponent
             assert (Fraction(rec["inv_pi"]), Fraction(rec["sqrt_pi"])) == (c.inv_pi, c.sqrt_pi)
-            assert rec["exact"] is term.exact
+            assert rec["exact"] is True
             assert rec["decimal"] == f"{float(c):.15g}"
         assert Fraction(terms[1]["sqrt_pi"]) == Fraction(28, 45)
 
@@ -451,7 +451,7 @@ class TestRecordPrimitives:
         assert records.witness_record(None) is None
 
     def test_summary_counts_findings_from_per_order_rows(self):
-        report = PairReport(reduce(5, [1, 2]), reduce(5, [1, 2]), False, None, True, None)
+        report = PairReport(reduce(5, [1, 2]), reduce(5, [1, 2]), None)
         results = [(PerQ(5, 3, 1, 0, 1), [report]), (PerQ(9, 6, 2, 1, 2), [report] * 2)]
         summary = summarize_sweep("rigidity", 5, 9, 0, results)
         rec = records.summary_record(summary)

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -86,6 +87,36 @@ class TestLensSpaceValidation:
     def test_ambient_dim(self):
         assert LensSpace(7, (1, 2)).ambient_dim == 3
         assert LensSpace(7, (1, 2), 1).ambient_dim == 4
+
+
+class TestIntegralDescriptors:
+    # A rotation or padding is taken only where operator.index takes it.
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: reduce(7, [1.5, 2]),
+            lambda: reduce(7, [1, 2], 1.5),
+            lambda: LensSpace(7, (1.9, 2)),
+            lambda: LensSpace(7, (1, 2), 1.5),
+            lambda: pad(reduce(7, [1, 2]), 1.5),
+        ],
+        ids=["reduce-rotation", "reduce-padding", "rotation", "padding", "pad"],
+    )
+    def test_non_integral_refused(self, build):
+        with pytest.raises(PreconditionViolated, match="must be an integer, got 1"):
+            build()
+
+    def test_numpy_integers_accepted(self):
+        space = LensSpace(7, (np.int64(1), np.int32(2)), np.int64(1))
+        assert space == LensSpace(7, (1, 2), 1) and str(space) == "L(7:1,2,0)"
+        assert {type(x) for x in (*space.rotations, space.padding)} == {int}
+        assert reduce(14, [np.int64(2), np.int64(4)], np.int64(1)) == space
+        assert pad(space, np.int64(1)) == LensSpace(7, (1, 2), 2)
+
+    @pytest.mark.parametrize("q", [0, -3])
+    def test_units_refuse_non_positive_order(self, q):
+        with pytest.raises(InvalidOrder):
+            units(q)
 
 
 class TestIsometric:

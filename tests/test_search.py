@@ -1,10 +1,11 @@
+import json
 from itertools import combinations
 from math import comb
 
 import numpy as np
 import pytest
 
-from orbilens import search
+from orbilens import cli, search
 from orbilens.core import LensSpace, canonical_form, is_isometric, sphere
 from orbilens.errors import PreconditionViolated
 from orbilens.heat import HeatVerdict, same_heat_expansion
@@ -154,9 +155,38 @@ class TestRigidityFindings:
         assert [(f.first, f.second) for f in findings] == list(combinations(classes, 2))
         for f in findings:
             assert f.isospectral and f.first_differing_k is None
-            assert not f.isometric and f.witness is None and f.heat_verdict is None
+            assert f.heat_verdict is None
         assert per_q.pairs == comb(len(classes), 2) == per_q.findings
         assert (per_q.q, per_q.spaces, per_q.classes) == (q, spaces, len(classes))
+
+    # No real order yields an isospectral pair, so no golden digest covers
+    # one; these records and lines were recorded before the pair report
+    # was cut down to the fields a sweep decides.
+    PAIR_LINES = [
+        '{"first":{"padding":0,"q":9,"rotations":[1,1]},"first_differing_k":null,'
+        '"heat_verdict":null,"isometric":false,"isospectral":true,"q":9,"record":"pair",'
+        '"second":{"padding":0,"q":9,"rotations":[1,2]},"witness":null}',
+        '{"first":{"padding":0,"q":9,"rotations":[1,1]},"first_differing_k":null,'
+        '"heat_verdict":null,"isometric":false,"isospectral":true,"q":9,"record":"pair",'
+        '"second":{"padding":0,"q":9,"rotations":[1,3]},"witness":null}',
+        '{"first":{"padding":0,"q":9,"rotations":[1,2]},"first_differing_k":null,'
+        '"heat_verdict":null,"isometric":false,"isospectral":true,"q":9,"record":"pair",'
+        '"second":{"padding":0,"q":9,"rotations":[1,3]},"witness":null}',
+    ]
+    PAIR_TEXT = (
+        "pair q=9 L(9:1,1) | L(9:1,2) first_differing_k=None ISOSPECTRAL\n"
+        "pair q=9 L(9:1,1) | L(9:1,3) first_differing_k=None ISOSPECTRAL\n"
+        "pair q=9 L(9:1,2) | L(9:1,3) first_differing_k=None ISOSPECTRAL\n"
+    )
+
+    def test_shared_fingerprint_pair_records_pinned(self, capsys, monkeypatch):
+        shared = np.arange(5, dtype=np.int64)
+        monkeypatch.setattr(search, "multiplicity_series", lambda space, kmax: shared)
+        assert cli.main(["sweep", "9", "9", "--format", "json-lines"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [l for l in lines if json.loads(l)["record"] == "pair"] == self.PAIR_LINES
+        assert cli.main(["sweep", "9", "9", "--format", "text"]) == 0
+        assert capsys.readouterr().out.startswith(self.PAIR_TEXT + "q=9 ")
 
 
 class TestFindHeatDegenerate:

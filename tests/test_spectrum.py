@@ -97,6 +97,13 @@ class TestMultiplicity:
         with pytest.raises(PreconditionViolated):
             multiplicity_series(space, -3)
 
+    def test_negative_degree_message(self):
+        # One check words every negative degree, whichever entry it came through.
+        space = reduce(7, [1, 2])
+        for call in (multiplicity, multiplicity_series, spectrum_table):
+            with pytest.raises(PreconditionViolated, match="^kmax must be >= 0, got -1$"):
+                call(space, -1)
+
 
 class TestSpectrumTable:
     def test_eigenvalue_ladder_3d(self):
@@ -180,6 +187,12 @@ class TestGeneratingFunction:
     def test_unsupported_padding(self):
         with pytest.raises(UnsupportedPadding):
             generating_function(reduce(7, [1, 2], 2))
+
+    @pytest.mark.parametrize("kmax", [-1, -2])
+    def test_negative_degree_rejected(self, kmax):
+        gf = generating_function(reduce(7, [1, 2]))
+        with pytest.raises(PreconditionViolated, match=f"kmax must be >= 0, got {kmax}$"):
+            gf.taylor(kmax)
 
     def test_constant_coefficient_is_one(self):
         for q, rots in [(7, [1, 2]), (195, [3, 5])]:
