@@ -42,7 +42,7 @@ from ._version import __version__
 from .core import LensSpace, is_isometric, reduce as reduce_space, sphere
 from .errors import InternalInvariant, OrbilensError, PreconditionViolated
 from .heat import heat_expansion_3d
-from .search import summarize_sweep, sweep_stream
+from .search import SWEEP_MODES, summarize_sweep, sweep_stream
 from .spectrum import is_isospectral, spectrum_table
 
 EXIT_OK = 0
@@ -120,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("qmax", type=int, help="largest group order")
     p.add_argument(
         "--mode",
-        choices=("rigidity", "heat-degenerate"),
+        choices=tuple(SWEEP_MODES),
         default="rigidity",
         help="assert no isospectral non-isometric pair / find heat-degenerate pairs",
     )
@@ -241,7 +241,7 @@ def _cmd_sweep(args, out) -> None:
         elif rigidity:
             row(rec)
         out.flush()
-        # The summary counts findings from the per-order rows; drop this
+        # The summary reads every total off the per-order rows; drop this
         # order's reports before the next order is computed.
         results.append((per_q, ()))
         pair = findings = None

@@ -58,6 +58,17 @@ def _integer(x, what: str) -> int:
         raise PreconditionViolated(f"{what} must be an integer, got {x!r}") from None
 
 
+def _order(q) -> int:
+    """``q`` as an int if it is a positive integer ``operator.index`` takes, else InvalidOrder."""
+    try:
+        n = operator.index(q)
+    except TypeError:
+        n = 0
+    if n < 1:
+        raise InvalidOrder(f"q must be a positive integer, got {q!r}")
+    return n
+
+
 @dataclass(frozen=True)
 class LensSpace:
     """Reduced lens-space descriptor.
@@ -67,9 +78,9 @@ class LensSpace:
                  the trivial-group case q = 1);
     padding   -- number W of appended fixed coordinates.
 
-    The ambient sphere dimension is 2n + W - 1.  A rotation or padding
-    is any integer ``operator.index`` takes, numpy integers included, and
-    is stored as an int.
+    The ambient sphere dimension is 2n + W - 1.  The order, a rotation
+    or the padding is any integer ``operator.index`` takes, numpy
+    integers included, and is stored as an int.
     """
 
     q: int
@@ -77,8 +88,7 @@ class LensSpace:
     padding: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.q, int) or self.q < 1:
-            raise InvalidOrder(f"q must be a positive integer, got {self.q!r}")
+        object.__setattr__(self, "q", _order(self.q))
         object.__setattr__(self, "rotations", tuple(_integer(p, "rotation") for p in self.rotations))
         object.__setattr__(self, "padding", _integer(self.padding, "padding"))
         if not self.rotations:
@@ -161,8 +171,7 @@ def reduce(q: int, raw, padding: int = 0) -> LensSpace:
     ``padding`` (use :func:`sphere` for the trivial group).  The padding
     is checked by :class:`LensSpace`.
     """
-    if not isinstance(q, int) or q <= 0:
-        raise InvalidOrder(f"q must be a positive integer, got {q!r}")
+    q = _order(q)
     raw = [_integer(r, "rotation") for r in raw]
     if not raw:
         raise PreconditionViolated("rotation list must be non-empty")
@@ -190,8 +199,7 @@ def sphere(n: int = 2, padding: int = 0) -> LensSpace:
 
 def units(q: int) -> list[int]:
     """Multiplicative units mod q (as representatives 1..q)."""
-    if q < 1:
-        raise InvalidOrder(f"q must be a positive integer, got {q!r}")
+    q = _order(q)
     if q > MAX_UNIT_ORDER:
         raise PreconditionViolated(
             f"order {q} exceeds the unit-orbit limit of {MAX_UNIT_ORDER}"

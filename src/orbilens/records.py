@@ -93,7 +93,12 @@ def per_q_record(p: PerQ) -> dict:
 
 
 def summary_record(s: SweepSummary) -> dict:
-    # From the per-order rows, so a fold that drops the reports gives the same record.
+    """The sweep's totals, every one read off the per-order rows.
+
+    A fold that drops the pair reports, as the CLI's does, gives the
+    same record.  Sweeps quotient two rotation blocks, so the dimension
+    is 3 + padding.
+    """
     small = sum(p.findings for p in s.per_q if p.q < SMALL_Q_LIMIT)
     return {
         "record": "summary",
@@ -101,10 +106,10 @@ def summary_record(s: SweepSummary) -> dict:
         "qmin": s.qmin,
         "qmax": s.qmax,
         "padding": s.padding,
-        "dimension": s.dimension,
-        "spaces": s.spaces,
-        "classes": s.classes,
-        "pairs_checked": s.pairs_checked,
+        "dimension": 3 + s.padding,
+        "spaces": sum(p.spaces for p in s.per_q),
+        "classes": sum(p.classes for p in s.per_q),
+        "pairs_checked": sum(p.pairs for p in s.per_q),
         "findings": sum(p.findings for p in s.per_q) - small,
         "small_q_findings": small,
         "version": __version__,

@@ -7,8 +7,11 @@ sweep, where none are expected), and classes sharing a heat matching key
 whose spectra differ are the heat-degenerate pairs (degeneracy sweep).
 All C(classes, 2) pairs are decided, but only bucket-mates are touched.
 Orders are independent work units, swept one at a time in ascending
-order; :func:`summarize_sweep` folds the per-order results into the
-totals for the library and the CLI alike.
+order.  Each yields a :class:`PerQ` row, and those rows are the one
+source of every sweep total: :func:`summarize_sweep` only collects the
+rows and the pair reports, and :func:`orbilens.records.summary_record`
+reads the totals off the rows, so the CLI, which drops each order's
+reports once written, gets the same summary as the library.
 
 Orders below 8 sit outside the classical hypotheses of the rigidity
 statements and are flagged separately instead of being counted as
@@ -83,14 +86,18 @@ class PerQ:
 
 @dataclass(frozen=True)
 class SweepSummary:
+    """The per-order rows and pair reports of one sweep.
+
+    ``small_q_findings`` holds the reports at orders below
+    SMALL_Q_LIMIT and ``findings`` the rest.  Totals are not stored:
+    each is a sum over ``per_q``, taken by
+    :func:`orbilens.records.summary_record`.
+    """
+
     mode: str
     qmin: int
     qmax: int
     padding: int
-    dimension: int
-    spaces: int
-    classes: int
-    pairs_checked: int
     findings: tuple[PairReport, ...]
     small_q_findings: tuple[PairReport, ...]
     per_q: tuple[PerQ, ...]
@@ -187,6 +194,11 @@ def _heat_slice(q: int, padding: int) -> tuple[PerQ, list[PairReport]]:
     return PerQ(q, spaces, len(classes), comb(len(classes), 2), len(findings)), findings
 
 
+# The per-order worker of each sweep mode; the CLI offers the keys as
+# its --mode choices, in this order.
+SWEEP_MODES = {"rigidity": _rigidity_slice, "heat-degenerate": _heat_slice}
+
+
 def sweep_stream(
     mode: str, qmin: int, qmax: int, padding: int = 0
 ) -> Iterator[tuple[PerQ, list[PairReport]]]:
@@ -196,13 +208,9 @@ def sweep_stream(
     before any order is computed.
     """
     _check_range(qmin, qmax, padding)
-    if mode == "rigidity":
-        worker = _rigidity_slice
-    elif mode == "heat-degenerate":
-        worker = _heat_slice
-    else:
+    if not isinstance(mode, str) or mode not in SWEEP_MODES:
         raise PreconditionViolated(f"unknown sweep mode {mode!r}")
-    return (worker(q, padding) for q in range(qmin, qmax + 1))
+    return (SWEEP_MODES[mode](q, padding) for q in range(qmin, qmax + 1))
 
 
 def summarize_sweep(
@@ -212,30 +220,19 @@ def summarize_sweep(
     padding: int,
     results: Iterable[tuple[PerQ, list[PairReport]]],
 ) -> SweepSummary:
-    """Fold per-order results (as from :func:`sweep_stream`) into totals.
+    """Collect per-order results (as from :func:`sweep_stream`).
 
-    Findings at orders below SMALL_Q_LIMIT are kept apart.
+    Keeps every per-order row and splits the pair reports at
+    SMALL_Q_LIMIT; the totals are read off the rows by
+    :func:`orbilens.records.summary_record`.
     """
     per_q = []
     findings = []
     small = []
-    for slice_summary, reports in results:
-        per_q.append(slice_summary)
-        target = small if slice_summary.q < SMALL_Q_LIMIT else findings
-        target.extend(reports)
-    return SweepSummary(
-        mode=mode,
-        qmin=qmin,
-        qmax=qmax,
-        padding=padding,
-        dimension=3 + padding,
-        spaces=sum(p.spaces for p in per_q),
-        classes=sum(p.classes for p in per_q),
-        pairs_checked=sum(p.pairs for p in per_q),
-        findings=tuple(findings),
-        small_q_findings=tuple(small),
-        per_q=tuple(per_q),
-    )
+    for row, reports in results:
+        per_q.append(row)
+        (small if row.q < SMALL_Q_LIMIT else findings).extend(reports)
+    return SweepSummary(mode, qmin, qmax, padding, tuple(findings), tuple(small), tuple(per_q))
 
 
 def _sweep(mode: str, qmin: int, qmax: int, padding: int) -> SweepSummary:

@@ -118,6 +118,22 @@ class TestIntegralDescriptors:
         with pytest.raises(InvalidOrder):
             units(q)
 
+    # The order goes through one check: any positive integer
+    # operator.index takes, stored as an int.
+    def test_reduce_accepts_numpy_integer_order(self):
+        space = reduce(np.int64(14), [2, 4])
+        assert space == LensSpace(7, (1, 2)) and type(space.q) is int
+
+    def test_lens_space_accepts_numpy_integer_order(self):
+        space = LensSpace(np.int64(7), (1, 2))
+        assert space == LensSpace(7, (1, 2)) and type(space.q) is int
+        assert str(space) == "L(7:1,2)"
+
+    @pytest.mark.parametrize("q", [1.5, "7"])
+    def test_units_refuse_non_integral_order(self, q):
+        with pytest.raises(InvalidOrder, match=f"q must be a positive integer, got {q!r}"):
+            units(q)
+
 
 class TestIsometric:
     def test_witness_example(self):

@@ -10,7 +10,10 @@ and remaining ``isometric`` digests before the record parsers were
 deleted and huge paddings were applied as one convolution.  The text
 and csv digests from ``spectrum 12 1 5 --padding 1 --kmax 12`` on, and
 the parser actions in ``PARSER_ACTIONS``, were recorded before the CLI
-was cut down to one argument helper and one csv projection.  Any change
+was cut down to one argument helper and one csv projection.  The four
+``sweep 1 9 ... --format json-lines`` digests, which pin the summary
+record over orders below 8 at both paddings, were recorded before the
+sweep totals moved from ``SweepSummary`` to the per-order rows.  Any change
 to verdicts, witnesses, ``first_differing_k``, ``pairs_checked``, heat
 coefficients, multiplicities or record formatting shows up here as a
 digest mismatch.
@@ -222,6 +225,22 @@ GOLDEN = {
     "sweep 1 9 --mode heat-degenerate --format csv": (
         "0a3f1461199922ce113dde9ca282e14355814768de3819047e35c9e84c969c69",
         46,
+    ),
+    "sweep 1 9 --mode rigidity --padding 0 --format json-lines": (
+        "4989905879fa12c8d3854dc7c1fbd58679b5ea07bec6d81e7c65c686cbdda8ac",
+        824,
+    ),
+    "sweep 1 9 --mode rigidity --padding 1 --format json-lines": (
+        "c00034a75063c4308435d2d4310d9deeebb36bb822d5670a7fb880a93dc4fed6",
+        824,
+    ),
+    "sweep 1 9 --mode heat-degenerate --padding 0 --format json-lines": (
+        "4c597e60bf4a0b344618b7b484467f356360f0266621101a7cb65297d66107d5",
+        831,
+    ),
+    "sweep 1 9 --mode heat-degenerate --padding 1 --format json-lines": (
+        "807deb8c5346592380f8f9e783f4d9bd4825bd1f43c107bfe6da9f18cc75234f",
+        831,
     ),
 }
 

@@ -5,7 +5,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from orbilens import cli, search
+from orbilens import cli, records, search
 from orbilens.core import LensSpace, canonical_form, is_isometric, sphere
 from orbilens.errors import PreconditionViolated
 from orbilens.heat import HeatVerdict, same_heat_expansion
@@ -93,6 +93,11 @@ class TestEnumerate:
         with pytest.raises(PreconditionViolated, match="unknown sweep mode"):
             sweep_stream("bogus", 8, 9)
 
+    def test_mode_that_is_not_a_name_refused(self):
+        # The mode table is a dict; an unhashable mode is refused, not a TypeError.
+        with pytest.raises(PreconditionViolated, match="unknown sweep mode"):
+            sweep_stream(["rigidity"], 8, 9)
+
     def test_orders_above_cap_refused_before_enumerating(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("classes were enumerated")
@@ -110,26 +115,41 @@ class TestEnumerate:
             assert per_q == PerQ(MAX_SWEEP_ORDER, 1, 1, 0, 0)
 
 
+@pytest.mark.parametrize("mode", list(search.SWEEP_MODES))
+def test_summary_record_reads_every_total_off_the_rows(mode):
+    results = list(sweep_stream(mode, 1, 30, 1))
+    rows = [per_q for per_q, _ in results]
+    rec = records.summary_record(search.summarize_sweep(mode, 1, 30, 1, results))
+    rows_only = [(per_q, ()) for per_q in rows]
+    assert records.summary_record(search.summarize_sweep(mode, 1, 30, 1, rows_only)) == rec
+    assert (rec["dimension"], rec["spaces"], rec["classes"], rec["pairs_checked"]) == (
+        4, sum(p.spaces for p in rows), sum(p.classes for p in rows), sum(p.pairs for p in rows)
+    )
+    assert rec["findings"] + rec["small_q_findings"] == sum(len(r) for _, r in results)
+    assert rec["findings"] > 0 or mode == "rigidity"
+
+
 class TestVerifyRigidity:
     def test_no_counterexamples_3d(self):
         summary = verify_rigidity(8, 40)
+        rec = records.summary_record(summary)
         assert summary.findings == ()
         assert summary.small_q_findings == ()
-        assert summary.dimension == 3
-        assert summary.pairs_checked > 0
+        assert rec["dimension"] == 3
+        assert rec["pairs_checked"] > 0
 
     def test_no_counterexamples_small_orders(self):
         summary = verify_rigidity(1, SMALL_Q_LIMIT - 1)
         assert summary.findings == () and summary.small_q_findings == ()
 
     def test_vacuous_single_class(self):
-        summary = verify_rigidity(1, 1)
-        assert summary.pairs_checked == 0 and summary.classes == 1
+        rec = records.summary_record(verify_rigidity(1, 1))
+        assert rec["pairs_checked"] == 0 and rec["classes"] == 1
 
     def test_no_counterexamples_4d_sample(self):
         summary = verify_rigidity(8, 24, padding=1)
         assert summary.findings == ()
-        assert summary.dimension == 4
+        assert records.summary_record(summary)["dimension"] == 4
 
     def test_isometric_members_share_spectrum(self):
         # spot re-verification: members of one class agree with their
