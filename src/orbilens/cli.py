@@ -213,11 +213,13 @@ def _cmd_sweep(args, out) -> None:
     if args.threads < 1:
         raise PreconditionViolated(f"threads must be >= 1, got {args.threads}")
     started = time.perf_counter()
-    rigidity = args.mode == "rigidity"
     # A refused range, padding or mode raises here, before any output.
     stream = sweep_stream(args.mode, args.qmin, args.qmax, args.padding)
+    # A mode that looks for isospectral pairs (none expected) writes one
+    # csv row per order; any other writes one per pair.
+    _, per_order = SWEEP_MODES[args.mode]
     if args.format == "csv":
-        row = _csv(out, PER_Q_COLUMNS if rigidity else PAIR_COLUMNS)
+        row = _csv(out, PER_Q_COLUMNS if per_order else PAIR_COLUMNS)
     results = []
     for per_q, findings in stream:
         for pair in findings:
@@ -230,7 +232,7 @@ def _cmd_sweep(args, out) -> None:
                 )
             elif args.format == "json-lines":
                 print(_jline(records.pair_record(pair)), file=out)
-            elif not rigidity:
+            elif not per_order:
                 row({**records.pair_record(pair), "first": str(pair.first),
                      "second": str(pair.second)})
         rec = records.per_q_record(per_q)
@@ -238,7 +240,7 @@ def _cmd_sweep(args, out) -> None:
             print(" ".join(f"{c}={rec[c]}" for c in PER_Q_COLUMNS), file=out)
         elif args.format == "json-lines":
             print(_jline(rec), file=out)
-        elif rigidity:
+        elif per_order:
             row(rec)
         out.flush()
         # The summary reads every total off the per-order rows; drop this

@@ -1,11 +1,15 @@
 """Exhaustive desk-scale sweeps over lens-space quotients.
 
 Enumerates one canonical representative per isometry class for each
-group order, then pairs same-order classes through key buckets: classes
-sharing a spectral fingerprint are the isospectral pairs (rigidity
-sweep, where none are expected), and classes sharing a heat matching key
-whose spectra differ are the heat-degenerate pairs (degeneracy sweep).
-All C(classes, 2) pairs are decided, but only bucket-mates are touched.
+group order, then buckets the order's classes by the sweep mode's key
+(:data:`SWEEP_MODES`): the hash of a spectral fingerprint for the
+rigidity sweep, the heat matching key for the degeneracy sweep.  The
+members of one bucket at a time are fingerprinted and compared exactly.
+A pair with equal spectra is a rigidity finding (an isospectral pair;
+none are expected), and a pair whose spectra differ is a heat-degenerate
+finding.  All C(classes, 2) pairs are decided, but only bucket-mates are
+compared, so an order holds its classes, one key per class and the
+fingerprints of one bucket.
 Orders are independent work units, swept one at a time in ascending
 order.  Each yields a :class:`PerQ` row, and those rows are the one
 source of every sweep total: :func:`summarize_sweep` only collects the
@@ -49,9 +53,11 @@ __all__ = [
 # separately from the rigidity count.
 SMALL_Q_LIMIT = 8
 
-# Largest order a sweep accepts: one order keeps every class fingerprint,
-# classes x (4q + 3) int64, in memory; about 400 MB peak RSS at the worst
-# orders up to this cap.
+# Largest order a sweep accepts.  An order holds its classes, one key per
+# class, the fingerprints of one bucket and its findings.  The
+# (q/2 + 1)^2 table of isometry_classes sets the rigidity peak, about
+# 70 MB RSS at this cap; a heat-degenerate order adds its findings
+# (119 MB at q = 3990, for 49 MB of json-lines).
 MAX_SWEEP_ORDER = 4096
 
 
@@ -158,45 +164,47 @@ def _check_range(qmin: int, qmax: int, padding: int) -> None:
         )
 
 
-def _bucket_pairs(keys: Iterable[Optional[Hashable]]) -> list[tuple[int, int]]:
-    """Index pairs i < j with equal keys, skipping None keys, ascending."""
+def _sweep_order(q: int, padding: int, mode: str) -> tuple[PerQ, list[PairReport]]:
+    # Classes are bucketed by the mode's key; a class without a key is
+    # never paired.  Only bucket-mates are compared, exactly, so a key
+    # collision cannot make a finding.  Findings are sorted by class
+    # index pair.  Heat findings share a matching key, so their heat
+    # expansions are equal by the isotropy lemma.
+    key, isospectral = SWEEP_MODES[mode]
+    classes, spaces = isometry_classes(q, padding)
     buckets: dict[Hashable, list[int]] = {}
-    for i, key in enumerate(keys):
-        if key is not None:
-            buckets.setdefault(key, []).append(i)
-    return sorted(pair for members in buckets.values() for pair in combinations(members, 2))
-
-
-def _rigidity_slice(q: int, padding: int) -> tuple[PerQ, list[PairReport]]:
-    # Fingerprints run through the certifying depth of is_isospectral,
-    # so a fingerprint bucket holds isospectral classes.
-    classes, spaces = isometry_classes(q, padding)
-    pairs = _bucket_pairs(multiplicity_series(c, isospectral_bound(c)).tobytes() for c in classes)
-    findings = [PairReport(classes[i], classes[j], None) for i, j in pairs]
+    for i, c in enumerate(classes):
+        buckets.setdefault(key(c), []).append(i)
+    buckets.pop(None, None)
+    pairs = sorted(pair for members in buckets.values() if len(members) > 1
+                   for pair in _bucket_findings(classes, members, isospectral))
+    verdict = None if isospectral else HeatVerdict.GUARANTEED_EQUAL.value
+    findings = [PairReport(classes[i], classes[j], k, verdict) for i, j, k in pairs]
     return PerQ(q, spaces, len(classes), comb(len(classes), 2), len(findings)), findings
 
 
-def _heat_slice(q: int, padding: int) -> tuple[PerQ, list[PairReport]]:
-    # Distinct class representatives are never isometric, so the heat
-    # verdict of a pair reduces to comparing their matching keys.  Each
-    # class sharing its key is fingerprinted once through the certifying
-    # depth of is_isospectral.
-    classes, spaces = isometry_classes(q, padding)
-    pairs = _bucket_pairs(_heat_key(c) for c in classes)
-    keyed = {i for pair in pairs for i in pair}
-    series = {i: multiplicity_series(classes[i], isospectral_bound(classes[i])) for i in keyed}
-    findings = []
-    for i, j in pairs:
-        differ = np.flatnonzero(series[i] != series[j])
-        if differ.size:
-            findings.append(PairReport(classes[i], classes[j], int(differ[0]),
-                                       HeatVerdict.GUARANTEED_EQUAL.value))
-    return PerQ(q, spaces, len(classes), comb(len(classes), 2), len(findings)), findings
+def _bucket_findings(classes: list[LensSpace], members: list[int], isospectral: bool):
+    """Index pairs (i, j, first_differing_k) of one bucket that are findings.
+
+    The members are fingerprinted through the certifying depth of
+    is_isospectral; the rows are released when the bucket is done.
+    """
+    rows = [multiplicity_series(classes[i], isospectral_bound(classes[i])) for i in members]
+    for (i, a), (j, b) in combinations(zip(members, rows), 2):
+        differ = np.flatnonzero(a != b)
+        if isospectral == (differ.size == 0):
+            yield i, j, int(differ[0]) if differ.size else None
 
 
-# The per-order worker of each sweep mode; the CLI offers the keys as
+# Each sweep mode's bucket key, and whether its findings are the
+# isospectral pairs (rigidity) or the pairs whose spectra differ
+# (heat-degenerate).  The rigidity key is the hash of a fingerprint, so
+# an order holds a fixed-size key per class.  The CLI offers the modes as
 # its --mode choices, in this order.
-SWEEP_MODES = {"rigidity": _rigidity_slice, "heat-degenerate": _heat_slice}
+SWEEP_MODES = {
+    "rigidity": (lambda c: hash(multiplicity_series(c, isospectral_bound(c)).tobytes()), True),
+    "heat-degenerate": (_heat_key, False),
+}
 
 
 def sweep_stream(
@@ -210,7 +218,7 @@ def sweep_stream(
     _check_range(qmin, qmax, padding)
     if not isinstance(mode, str) or mode not in SWEEP_MODES:
         raise PreconditionViolated(f"unknown sweep mode {mode!r}")
-    return (SWEEP_MODES[mode](q, padding) for q in range(qmin, qmax + 1))
+    return (_sweep_order(q, padding, mode) for q in range(qmin, qmax + 1))
 
 
 def summarize_sweep(

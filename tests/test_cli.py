@@ -8,6 +8,8 @@ import weakref
 from dataclasses import asdict
 from fractions import Fraction
 
+import pytest
+
 from orbilens import cli, records, search
 from orbilens.cli import FORMATS, main
 from orbilens.core import IsometryWitness, LensSpace, is_isometric, reduce
@@ -88,6 +90,11 @@ class TestSpectrumCommand:
         code, out, err = run_cli(capsys, "spectrum", "7", "1", "2", "--kmax", "-3")
         assert code == 2 and out == ""
         assert "kmax" in err
+
+    def test_negative_padding_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "spectrum", "7", "1", "2", "--padding", "-1")
+        assert code == 2 and out == ""
+        assert err == "error: padding must be >= 0, got -1\n"
 
     def test_kmax_beyond_counting_range_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "spectrum", "7", "1", "2", "--kmax", "5000000")
@@ -351,6 +358,28 @@ class TestSweepCommand:
         )
         lines = out.splitlines()
         assert lines[0] == "q,first,second,first_differing_k,heat_verdict"
+
+    @pytest.mark.parametrize("mode", list(search.SWEEP_MODES))
+    def test_csv_layout_follows_the_mode_table(self, capsys, mode):
+        # A mode that looks for isospectral pairs writes per-order rows;
+        # any other writes pair rows.
+        _, isospectral = search.SWEEP_MODES[mode]
+        code, out, _ = run_cli(capsys, "sweep", "10", "12", "--mode", mode, "--format", "csv")
+        assert code == 0
+        columns = cli.PER_Q_COLUMNS if isospectral else cli.PAIR_COLUMNS
+        assert out.splitlines()[0] == ",".join(columns)
+
+    def test_csv_layout_of_a_new_mode_read_off_the_table(self, capsys, monkeypatch):
+        # Isospectral pairs sharing a heat key: a mode the CLI never names.
+        key, _ = search.SWEEP_MODES["heat-degenerate"]
+        monkeypatch.setitem(search.SWEEP_MODES, "heat-isospectral", (key, True))
+        code, out, _ = run_cli(
+            capsys, "sweep", "10", "12", "--mode", "heat-isospectral", "--format", "csv"
+        )
+        assert code == 0
+        assert out.splitlines() == ["q,spaces,classes,pairs,findings", *(
+            f"{p.q},{p.spaces},{p.classes},{p.pairs},0" for p in verify_rigidity(10, 12).per_q
+        )]
 
     def test_threads_below_one_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "8", "10", "--threads", "0")

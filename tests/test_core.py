@@ -84,6 +84,18 @@ class TestLensSpaceValidation:
         with pytest.raises(ZeroRotation):
             LensSpace(1, (1, 0))
 
+    def test_empty_rotations_rejected(self):
+        with pytest.raises(PreconditionViolated, match="rotation list must be non-empty"):
+            LensSpace(7, ())
+
+    def test_negative_padding_rejected(self):
+        with pytest.raises(PreconditionViolated, match="padding must be >= 0, got -1"):
+            LensSpace(7, (1, 2), -1)
+
+    def test_sphere_needs_a_block(self):
+        with pytest.raises(PreconditionViolated, match="n must be >= 1, got 0"):
+            sphere(0)
+
     def test_ambient_dim(self):
         assert LensSpace(7, (1, 2)).ambient_dim == 3
         assert LensSpace(7, (1, 2), 1).ambient_dim == 4

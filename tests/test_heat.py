@@ -59,6 +59,8 @@ class TestCotangentSums:
     def test_rejects_nonpositive(self):
         with pytest.raises(PreconditionViolated):
             csc2_sum(0)
+        with pytest.raises(PreconditionViolated, match="m must be >= 1, got 0"):
+            csc4_sum(0)
 
 
 class TestStratumCoefficients:
@@ -205,6 +207,10 @@ class TestSameHeatExpansion:
             same_heat_expansion(reduce(7, [1, 2]), reduce(9, [1, 2]))
         with pytest.raises(ShapeMismatch):
             same_heat_expansion(reduce(7, [1, 2]), reduce(7, [1, 2], 1))
+
+    def test_three_blocks_refused(self):
+        with pytest.raises(ShapeMismatch, match="two rotation blocks"):
+            same_heat_expansion(reduce(7, [1, 2, 3]), reduce(7, [1, 2, 4]))
 
     def test_guaranteed_equal_implies_equal_tables_up_to_q100(self):
         for q in range(2, 101):

@@ -1,4 +1,11 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+import weakref
+from collections import Counter
 from itertools import combinations
 from math import comb
 
@@ -8,7 +15,7 @@ import pytest
 from orbilens import cli, records, search
 from orbilens.core import LensSpace, canonical_form, is_isometric, sphere
 from orbilens.errors import PreconditionViolated
-from orbilens.heat import HeatVerdict, same_heat_expansion
+from orbilens.heat import HeatVerdict, _heat_key, same_heat_expansion
 from orbilens.search import (
     MAX_SWEEP_ORDER,
     SMALL_Q_LIMIT,
@@ -21,6 +28,7 @@ from orbilens.search import (
 from orbilens.spectrum import is_isospectral, spectrum_table
 
 from conftest import all_reduced_pairs
+from test_golden import GOLDEN
 
 
 def brute_class_partition(q):
@@ -171,7 +179,7 @@ class TestRigidityFindings:
         shared = np.arange(5, dtype=np.int64)
         monkeypatch.setattr(search, "multiplicity_series", lambda space, kmax: shared)
         classes, spaces = isometry_classes(q)
-        per_q, findings = search._rigidity_slice(q, 0)
+        per_q, findings = next(search.sweep_stream("rigidity", q, q, 0))
         assert [(f.first, f.second) for f in findings] == list(combinations(classes, 2))
         for f in findings:
             assert f.isospectral and f.first_differing_k is None
@@ -207,6 +215,69 @@ class TestRigidityFindings:
         assert [l for l in lines if json.loads(l)["record"] == "pair"] == self.PAIR_LINES
         assert cli.main(["sweep", "9", "9", "--format", "text"]) == 0
         assert capsys.readouterr().out.startswith(self.PAIR_TEXT + "q=9 ")
+
+
+class TestHashedKey:
+    # The rigidity key is the built-in hash of a fingerprint's bytes,
+    # which differs from process to process; the stdout must not.
+    @pytest.mark.parametrize("seed", ["0", "1"])
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_stdout_does_not_depend_on_the_hash_seed(self, seed, padding):
+        command = f"sweep 8 40 --mode rigidity --padding {padding} --format json-lines"
+        res = subprocess.run(
+            [sys.executable, "-m", "orbilens.cli", *command.split()],
+            capture_output=True, env={**os.environ, "PYTHONHASHSEED": seed}, check=True,
+        )
+        assert (hashlib.sha256(res.stdout).hexdigest(), len(res.stdout)) == GOLDEN[command]
+
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_exact_comparison_refuses_colliding_keys(self, padding, monkeypatch):
+        real = list(sweep_stream("rigidity", 1, 60, padding))
+        calls = []
+        series = search.multiplicity_series
+        monkeypatch.setattr(search, "multiplicity_series", lambda *a: calls.append(a) or series(*a))
+        monkeypatch.setitem(search.SWEEP_MODES, "rigidity", (lambda space: 0, True))
+        collided = list(sweep_stream("rigidity", 1, 60, padding))
+        assert [row for row, _ in collided] == [row for row, _ in real]
+        assert all(reports == [] for _, reports in real + collided)
+        # Every class of an order with two or more shares the one bucket.
+        assert len(calls) == sum(row.classes for row, _ in real if row.classes > 1)
+
+
+def traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSweepMemory:
+    @pytest.mark.parametrize("q", [720, 1024])
+    def test_rigidity_order_holds_no_fingerprint_per_class(self, q):
+        enumeration = traced_peak(lambda: isometry_classes(q))
+        sweep = traced_peak(lambda: list(sweep_stream("rigidity", q, q)))
+        assert sweep < 2 * enumeration
+
+    @pytest.mark.parametrize("q,largest", [(195, 24), (360, 24), (720, 48)])
+    def test_heat_order_holds_one_bucket_of_fingerprints(self, q, largest, monkeypatch):
+        buckets = Counter(_heat_key(c) for c in isometry_classes(q)[0])
+        del buckets[None]
+        assert max(buckets.values()) == largest
+        alive, most = [], 0
+        series = search.multiplicity_series
+
+        def tracked(space, kmax):
+            nonlocal most
+            row = series(space, kmax)
+            alive.append(weakref.ref(row))
+            most = max(most, sum(ref() is not None for ref in alive))
+            return row
+
+        monkeypatch.setattr(search, "multiplicity_series", tracked)
+        assert list(sweep_stream("heat-degenerate", q, q))[0][1]
+        assert 2 <= most <= largest
 
 
 class TestFindHeatDegenerate:

@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -232,6 +233,10 @@ class TestIsospectral:
         with pytest.raises(DimensionMismatch):
             is_isospectral(reduce(7, [1, 2]), reduce(7, [1, 2], 1))
 
+    def test_truth_value_is_the_verdict(self):
+        assert bool(is_isospectral(reduce(7, [1, 2]), reduce(7, [1, 3]))) is True
+        assert bool(is_isospectral(reduce(7, [1, 1]), reduce(7, [1, 2]))) is False
+
     @pytest.mark.parametrize("padding", [0, 1])
     def test_isometric_implies_isospectral_exhaustive(self, padding):
         for q in range(2, 41):
@@ -266,6 +271,10 @@ class TestEvaluateF:
         with pytest.raises(PoleEvaluation):
             evaluate_F(reduce(7, [1, 2]), 1.0)
 
+    def test_exact_form_refuses_its_pole(self):
+        with pytest.raises(PoleEvaluation, match="z=1 is a pole"):
+            generating_function(reduce(7, [1, 2])).evaluate(Fraction(1))
+
 
 class TestResidueCase3:
     def test_closed_form_value(self):
@@ -293,6 +302,10 @@ class TestResidueCase3:
         with pytest.raises(PreconditionViolated):
             residue_case3(reduce(9, [1, 3]), power=3)
 
+    def test_padding_rejected(self):
+        with pytest.raises(PreconditionViolated, match="padding=0"):
+            residue_case3(reduce(9, [1, 3], 1))
+
 
 class TestResidueCotSum:
     def test_example_shape_is_nonzero(self):
@@ -316,6 +329,10 @@ class TestResidueCotSum:
     def test_manifold_first_rotation_rejected(self):
         with pytest.raises(PreconditionViolated):
             residue_cot_sum(reduce(15, [1, 3]))
+
+    def test_padding_rejected(self):
+        with pytest.raises(PreconditionViolated, match="padding=0"):
+            residue_cot_sum(reduce(30, [2, 15], 1))
 
     def test_wrong_gcd_ordering_rejected(self):
         # first rotation's divisor must be the smaller one
