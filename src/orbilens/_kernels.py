@@ -46,6 +46,7 @@ import math
 
 import numpy as np
 
+from .core import _integer
 from .errors import CountingRangeExceeded, PreconditionViolated
 
 # Largest counting table, in int64 cells (128 MiB): the dynamic program's
@@ -57,7 +58,7 @@ MAX_TABLE_CELLS = 1 << 24
 def _check_range(q: int, kmax: int, nvars: int) -> None:
     if q < 1:
         raise PreconditionViolated(f"q must be >= 1, got {q}")
-    if kmax < 0:
+    if _integer(kmax, "kmax") < 0:
         raise PreconditionViolated(f"kmax must be >= 0, got {kmax}")
     if (kmax + 1) * nvars > MAX_TABLE_CELLS:
         raise CountingRangeExceeded(

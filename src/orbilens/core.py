@@ -23,10 +23,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
-    DimensionMismatch,
     InvalidOrder,
     PreconditionViolated,
-    UnsupportedRank,
+    ShapeMismatch,
+    UnsupportedShape,
     ZeroRotation,
 )
 
@@ -192,7 +192,7 @@ def reduce(q: int, raw, padding: int = 0) -> LensSpace:
 
 def sphere(n: int = 2, padding: int = 0) -> LensSpace:
     """Trivial-group descriptor: the round sphere S^(2n+padding-1)."""
-    if n < 1:
+    if _integer(n, "n") < 1:
         raise PreconditionViolated(f"n must be >= 1, got {n}")
     return LensSpace(1, (0,) * n, padding)
 
@@ -223,10 +223,25 @@ def _folded_orbit(space: LensSpace, ls: Optional[np.ndarray] = None) -> list[np.
     return folded
 
 
+def _check_shape(space: LensSpace, what: str, two_blocks=True, max_padding=None) -> None:
+    """Refuse a descriptor outside the domain of the operation ``what``.
+
+    The domain is two rotation blocks, or any number when ``two_blocks``
+    is False, and at most ``max_padding`` padded coordinates, or any
+    number when it is None.  This is the one rotation-count and padding
+    gate of the single-descriptor operations.
+    """
+    if (two_blocks and space.n != 2) or (max_padding is not None and space.padding > max_padding):
+        shape = "two rotation blocks" if two_blocks else "any rotation count"
+        if max_padding is not None:
+            shape += " and padding=" + " or ".join(map(str, range(max_padding + 1)))
+        raise UnsupportedShape(f"{what} needs {shape}, got n={space.n}, padding={space.padding}")
+
+
 def _check_pair_shape(first: LensSpace, second: LensSpace) -> None:
     """Refuse a pair whose rotation counts or paddings differ."""
     if first.n != second.n or first.padding != second.padding:
-        raise DimensionMismatch(
+        raise ShapeMismatch(
             f"shape mismatch: n={first.n},W={first.padding} vs n={second.n},W={second.padding}"
         )
 
@@ -284,8 +299,7 @@ def canonical_form(space: LensSpace) -> LensSpace:
 
 def decompose_singular(space: LensSpace) -> SingularDecomposition:
     """gcd/isotropy decomposition of a two-rotation descriptor."""
-    if space.n != 2:
-        raise UnsupportedRank(f"decomposition needs exactly 2 rotations, got {space.n}")
+    _check_shape(space, "decompose_singular")
     q = space.q
     p1, p2 = space.rotations
     q1 = math.gcd(p1, q)

@@ -1,7 +1,9 @@
 """Exception hierarchy for orbilens.
 
 Input-shaped problems derive from both OrbilensError and ValueError so
-callers can catch either; InternalInvariant marks bugs, never bad input.
+callers can catch either, and every refusal of an input that breaks an
+operation's precondition is a PreconditionViolated; InternalInvariant
+marks bugs, never bad input.
 """
 
 
@@ -9,11 +11,15 @@ class OrbilensError(Exception):
     """Base class for all orbilens errors."""
 
 
-class InvalidOrder(OrbilensError, ValueError):
+class PreconditionViolated(OrbilensError, ValueError):
+    """Arguments do not satisfy the operation's stated precondition."""
+
+
+class InvalidOrder(PreconditionViolated):
     """Group order q must be a positive integer."""
 
 
-class ZeroRotation(OrbilensError, ValueError):
+class ZeroRotation(PreconditionViolated):
     """A rotation residue is divisible by the (reduced) order q.
 
     A vanishing residue means that coordinate pair is fixed by the whole
@@ -21,31 +27,15 @@ class ZeroRotation(OrbilensError, ValueError):
     """
 
 
-class DimensionMismatch(OrbilensError, ValueError):
-    """Two descriptors have different rotation counts or padding."""
+class UnsupportedShape(PreconditionViolated):
+    """Descriptor shape (rotation count or padding) outside the operation's domain."""
 
 
-class UnsupportedRank(OrbilensError, ValueError):
-    """Operation is only defined for two rotation blocks (n = 2)."""
-
-
-class UnsupportedPadding(OrbilensError, ValueError):
-    """Operation is only defined for padding W in {0, 1}."""
-
-
-class UnsupportedShape(OrbilensError, ValueError):
-    """Descriptor shape outside the operation's domain."""
-
-
-class ShapeMismatch(OrbilensError, ValueError):
+class ShapeMismatch(PreconditionViolated):
     """Pair operation called on descriptors of incompatible shape."""
 
 
-class PreconditionViolated(OrbilensError, ValueError):
-    """Arguments do not satisfy the operation's stated precondition."""
-
-
-class NotADivisor(OrbilensError, ValueError):
+class NotADivisor(PreconditionViolated):
     """Argument k must divide the group order q."""
 
 

@@ -32,7 +32,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import LensSpace, decompose_singular, is_isometric
-from .errors import PreconditionViolated, ShapeMismatch, UnsupportedShape
+from .core import _check_pair_shape, _check_shape, _integer
+from .errors import PreconditionViolated, ShapeMismatch
 
 __all__ = [
     "HeatCoefficient",
@@ -79,14 +80,14 @@ class HeatCoefficient:
 
 def csc2_sum(m: int) -> Fraction:
     """sum_{r=1}^{m-1} 1/sin^2(pi r / m) = (m^2 - 1)/3, exactly."""
-    if m < 1:
+    if _integer(m, "m") < 1:
         raise PreconditionViolated(f"m must be >= 1, got {m}")
     return Fraction(m * m - 1, 3)
 
 
 def csc4_sum(m: int) -> Fraction:
     """sum_{r=1}^{m-1} 1/sin^4(pi r / m) = (m^4 + 10 m^2 - 11)/45, exactly."""
-    if m < 1:
+    if _integer(m, "m") < 1:
         raise PreconditionViolated(f"m must be >= 1, got {m}")
     return Fraction(m**4 + 10 * m * m - 11, 45)
 
@@ -105,7 +106,7 @@ def stratum_b01(m: int) -> StratumTerm:
 
     b_0 = (m^2 - 1)/12 and b_1 = -(m^2 - 29)(m^2 - 1)/360, both exact.
     """
-    if m < 2:
+    if _integer(m, "m") < 2:
         raise PreconditionViolated(f"isotropy order must be >= 2, got {m}")
     b0 = Fraction(m * m - 1, 12)
     b1 = -Fraction((m * m - 29) * (m * m - 1), 360)
@@ -146,9 +147,8 @@ def heat_expansion_3d(space: LensSpace, order: int = 3) -> HeatExpansion:
     Deeper terms would need fixed-point coefficients beyond b_1 and are
     not emitted.
     """
-    if space.n != 2 or space.padding != 0:
-        raise UnsupportedShape("heat expansion implemented for n=2, padding=0")
-    if not 1 <= order <= 3:
+    _check_shape(space, "heat_expansion_3d", max_padding=0)
+    if not 1 <= _integer(order, "order") <= 3:
         raise PreconditionViolated(f"order must be in [1, 3], got {order}")
     dec = decompose_singular(space)
     alpha, beta = dec.alpha, dec.beta
@@ -181,12 +181,8 @@ def same_heat_expansion(first: LensSpace, second: LensSpace) -> HeatVerdict:
     rotationally degenerate case p_1 = +-p_2 mod q falls outside the
     matching criterion, as do pairs of distinct manifold classes.
     """
-    if first.n != 2 or second.n != 2:
-        raise ShapeMismatch("expansion matching needs two rotation blocks")
-    if first.padding != second.padding or first.padding > 1:
-        raise ShapeMismatch(
-            f"padding mismatch or unsupported: {first.padding} vs {second.padding}"
-        )
+    _check_pair_shape(first, second)
+    _check_shape(first, "same_heat_expansion", max_padding=1)
     if first.q != second.q:
         raise ShapeMismatch(f"group orders differ: {first.q} vs {second.q}")
     key = _heat_key(first)

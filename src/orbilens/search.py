@@ -31,7 +31,7 @@ from typing import Hashable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .core import LensSpace, _folded_orbit, sphere, units
+from .core import LensSpace, _folded_orbit, _integer, _order, sphere, units
 from .errors import PreconditionViolated
 from .heat import HeatVerdict, _heat_key
 from .spectrum import isospectral_bound, multiplicity_series
@@ -56,8 +56,9 @@ SMALL_Q_LIMIT = 8
 # Largest order a sweep accepts.  An order holds its classes, one key per
 # class, the fingerprints of one bucket and its findings.  The
 # (q/2 + 1)^2 table of isometry_classes sets the rigidity peak, about
-# 70 MB RSS at this cap; a heat-degenerate order adds its findings
-# (119 MB at q = 3990, for 49 MB of json-lines).
+# 70 MB RSS at this cap.  A heat-degenerate order peaks higher (119 MB at
+# q = 3990) through its largest bucket: 432 classes whose full-depth rows
+# take 53 MiB, against 22 MiB for the findings it holds.
 MAX_SWEEP_ORDER = 4096
 
 
@@ -118,6 +119,7 @@ def isometry_classes(q: int, padding: int = 0) -> tuple[list[LensSpace], int]:
     representative; it is emitted and its whole orbit under the units
     is marked in one vectorised step, so the cost is classes x units.
     """
+    q = _order(q)
     if q == 1:
         return [sphere(2, padding)], 1
     h = q // 2
@@ -154,9 +156,9 @@ def _reduced_pair_count(q: int, phi: int) -> int:
 
 
 def _check_range(qmin: int, qmax: int, padding: int) -> None:
-    if padding not in (0, 1):
+    if _integer(padding, "padding") not in (0, 1):
         raise PreconditionViolated(f"padding must be 0 or 1, got {padding}")
-    if not 1 <= qmin <= qmax:
+    if not 1 <= _integer(qmin, "qmin") <= _integer(qmax, "qmax"):
         raise PreconditionViolated(f"invalid order range [{qmin}, {qmax}]")
     if qmax > MAX_SWEEP_ORDER:
         raise PreconditionViolated(

@@ -28,13 +28,12 @@ from typing import Optional, Union
 import numpy as np
 
 from . import _kernels
-from .core import LensSpace, _check_pair_shape
+from .core import LensSpace, _check_pair_shape, _check_shape, _integer
 from .errors import (
     InternalInvariant,
     NotADivisor,
     PoleEvaluation,
     PreconditionViolated,
-    UnsupportedPadding,
 )
 
 __all__ = [
@@ -160,10 +159,7 @@ def generating_function(space: LensSpace) -> GeneratingFunction:
     assumed.  Supports padding 0 and 1 (for padding 1 the numerator
     absorbs the extra (1 - z) factor exactly).
     """
-    if space.padding > 1:
-        raise UnsupportedPadding(
-            f"generating function implemented for padding 0 or 1, got {space.padding}"
-        )
+    _check_shape(space, "generating_function", two_blocks=False, max_padding=1)
     q, n = space.q, space.n
     upper = 2 * n * q + 2 * n + 2
     cap = 2 * n * q - 2 * n + 2
@@ -198,6 +194,22 @@ def isospectral_bound(space: LensSpace) -> int:
     numerator degree below 2nq, so agreement of the Taylor coefficients
     through degree 2nq forces identity; two further degrees are checked
     as margin.
+
+    No depth below q/2 + 1 separates every pair of distinct classes at
+    an even order q >= 4: L(q:1,1) and L(q:1,q/2) first differ at degree
+    exactly q/2 + 1, at any padding.  In the congruence lattices of
+    Lauret, Miatello and Rossetti (IMRN 2016), {(u, v) : u + v = 0 mod q}
+    and {(u, v) : u + (q/2) v = 0 mod q}, a point of 1-norm j < q of the
+    first has u + v = 0, so it is (u, -u).  In the second an even v
+    forces u = 0 mod q and an odd v forces u = q/2 mod q, so its points
+    of 1-norm at most q/2 are (0, v) with v even.  Both lattices thus
+    have 1 point at norm 0, 2 at each even norm and none at odd norms
+    through q/2.  At norm q/2 + 1 < q the second gains the 4 points
+    (+-q/2, +-1).  The multiplicities are the norm counts summed at
+    lag 2, and each padded coordinate adds a prefix sum; both steps are
+    invertible and keep a first difference where it is.  So the
+    multiplicities agree through degree q/2 and differ by 4 at q/2 + 1.
+    This is a lower bound on the separating depth only.
     """
     return 2 * space.n * space.q + 2
 
@@ -289,15 +301,16 @@ def residue_cot_sum(space: LensSpace) -> ResidueProfile:
 
     Applies to two-rotation unpadded descriptors whose first rotation x
     is a proper divisor of q and whose second rotation has gcd y with q
-    strictly larger than x, coprime to x.  Only group elements with
+    strictly larger than x.  The second rotation is then coprime to x:
+    x divides q, so a common factor of the two divides gcd(x, p2, q),
+    which is 1 for a reduced descriptor.  Only group elements with
     index t*(q/x) -+ 1 contribute, giving
 
         value = sum_t [cot(pi a_t / q) - cot(pi b_t / q)] / (2 q sin(2 pi x / q))
 
     with a_t, b_t = p2*(t*q/x - 1) +- x.
     """
-    if space.n != 2 or space.padding != 0:
-        raise PreconditionViolated("cotangent-sum residue needs n=2, padding=0")
+    _check_shape(space, "residue_cot_sum", max_padding=0)
     q = space.q
     x, second = space.rotations
     if x <= 1 or q % x != 0:
@@ -309,8 +322,6 @@ def residue_cot_sum(space: LensSpace) -> ResidueProfile:
         raise PreconditionViolated(
             f"second rotation's gcd with q must exceed the first rotation ({y} <= {x})"
         )
-    if math.gcd(x, second) != 1:
-        raise PreconditionViolated("first rotation must be coprime to the second")
     q_over_x = q // x
     a_vals, b_vals = [], []
     total = 0.0
@@ -337,15 +348,14 @@ def residue_case3(space: LensSpace, power: int = 1) -> complex:
 
         -2 g / (q (1 - g^(1-x)) (1 - g^(1+x))),   g = exp(2*pi*i*power/q).
     """
-    if space.n != 2 or space.padding != 0:
-        raise PreconditionViolated("closed-form residue needs n=2, padding=0")
+    _check_shape(space, "residue_case3", max_padding=0)
     q = space.q
     if space.rotations[0] != 1:
         raise PreconditionViolated(f"first rotation must be 1, got {space.rotations[0]}")
     x = space.rotations[1]
     if math.gcd(x, q) <= 1:
         raise PreconditionViolated(f"second rotation must share a factor with q, got {x}")
-    if math.gcd(power, q) != 1:
+    if math.gcd(_integer(power, "power"), q) != 1:
         raise PreconditionViolated(f"power {power} is not a unit mod {q}")
     g = cmath.exp(2j * cmath.pi * power / q)
     return -2 * g / (q * (1 - g ** ((1 - x) % q)) * (1 - g ** ((1 + x) % q)))
@@ -363,7 +373,7 @@ def pole_order(space: LensSpace, k: int) -> int:
     polynomial exactly when that power series vanishes on the k terms
     past deg N (a nonzero remainder over Phi_k repeats with period k).
     """
-    if k < 1 or space.q % k != 0:
+    if _integer(k, "k") < 1 or space.q % k != 0:
         raise NotADivisor(f"k={k} does not divide q={space.q}")
     gf = generating_function(space)
     num = np.array(gf.numerator + (0,) * k, dtype=object)

@@ -23,7 +23,37 @@ from orbilens.spectrum import evaluate_F, multiplicity_series
 
 
 def brute_counts_weighted_py(q: int, p1: int, p2: int, mmax: int) -> list[int]:
-    """Counts of (a1,b1,a2,b2) with given total degree and zero weight mod q."""
+    """Counts of (a1,b1,a2,b2) with given total degree and zero weight mod q.
+
+    Loops over a1, b1 and a2; the b2 that zero the weight form one
+    progression mod q / gcd(q - p2, q), which is walked directly.
+    :func:`brute_counts_four_loops` is its reference.
+    """
+    n1 = (q - p1 % q) % q
+    n2 = (q - p2 % q) % q
+    g = math.gcd(n2, q)
+    step = q // g
+    # n2 b2 = -r3 mod q has solutions iff g divides r3; then b2 = -(r3/g) inv mod step.
+    inv = pow(n2 // g, -1, step) if step > 1 else 0
+    out = [0] * (mmax + 1)
+    for a1 in range(mmax + 1):
+        r1 = (p1 % q) * a1 % q
+        for b1 in range(mmax + 1 - a1):
+            r2 = (r1 + n1 * b1) % q
+            d2 = a1 + b1
+            for a2 in range(mmax + 1 - d2):
+                r3 = (r2 + (p2 % q) * a2) % q
+                if r3 % g:
+                    continue
+                d3 = d2 + a2
+                for b2 in range(-(r3 // g) * inv % step, mmax + 1 - d3, step):
+                    out[d3 + b2] += 1
+    return out
+
+
+def brute_counts_four_loops(q: int, p1: int, p2: int, mmax: int) -> list[int]:
+    """Counts of (a1,b1,a2,b2) with given total degree and zero weight mod q,
+    every tuple enumerated."""
     n1 = (q - p1 % q) % q
     n2 = (q - p2 % q) % q
     out = [0] * (mmax + 1)

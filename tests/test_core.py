@@ -18,10 +18,10 @@ from orbilens.core import (
     units,
 )
 from orbilens.errors import (
-    DimensionMismatch,
     InvalidOrder,
     PreconditionViolated,
-    UnsupportedRank,
+    ShapeMismatch,
+    UnsupportedShape,
     ZeroRotation,
 )
 
@@ -171,9 +171,9 @@ class TestIsometric:
         assert is_isometric(reduce(7, [1, 2]), reduce(9, [1, 2])) is None
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ShapeMismatch):
             is_isometric(reduce(7, [1, 2]), reduce(7, [1, 2], padding=1))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ShapeMismatch):
             is_isometric(reduce(7, [1, 2]), reduce(7, [1, 2, 3]))
 
     def test_sphere_pair(self):
@@ -308,7 +308,7 @@ class TestDecomposeSingular:
         assert (d.g, d.alpha, d.beta) == (7, 1, 1)
 
     def test_rank_restriction(self):
-        with pytest.raises(UnsupportedRank):
+        with pytest.raises(UnsupportedShape):
             decompose_singular(LensSpace(7, (1, 2, 3)))
 
     @given(reduced_spaces(qmax=60))

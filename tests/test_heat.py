@@ -209,7 +209,7 @@ class TestSameHeatExpansion:
             same_heat_expansion(reduce(7, [1, 2]), reduce(7, [1, 2], 1))
 
     def test_three_blocks_refused(self):
-        with pytest.raises(ShapeMismatch, match="two rotation blocks"):
+        with pytest.raises(UnsupportedShape, match="two rotation blocks"):
             same_heat_expansion(reduce(7, [1, 2, 3]), reduce(7, [1, 2, 4]))
 
     def test_guaranteed_equal_implies_equal_tables_up_to_q100(self):

@@ -25,6 +25,15 @@ def test_trivial_cases():
     assert list(out) == [1, 2, 3, 4]
 
 
+def test_oracle_walk_equals_four_loops():
+    # The oracle steps b2 along its progression; every tuple enumerated is the reference.
+    for q in (1, 2, 6, 9, 12):
+        for p1 in range(q):
+            for p2 in range(q):
+                walked = oracles.brute_counts_weighted_py(q, p1, p2, 12)
+                assert walked == oracles.brute_counts_four_loops(q, p1, p2, 12), (q, p1, p2)
+
+
 def _dp(q, p1, p2, padding, mmax):
     """Lag-2 difference of the DP counts, padding as zero-weight variables."""
     counts = _kernels.invariant_series([p1, -p1, p2, -p2] + [0] * padding, q, mmax)

@@ -10,11 +10,11 @@ from orbilens.core import LensSpace, canonical_form, reduce, sphere
 from orbilens import spectrum
 from orbilens.errors import (
     CountingRangeExceeded,
-    DimensionMismatch,
     NotADivisor,
     PoleEvaluation,
     PreconditionViolated,
-    UnsupportedPadding,
+    ShapeMismatch,
+    UnsupportedShape,
 )
 from orbilens.search import isometry_classes
 from orbilens.spectrum import (
@@ -186,7 +186,7 @@ class TestGeneratingFunction:
             assert tuple(prod) == n0
 
     def test_unsupported_padding(self):
-        with pytest.raises(UnsupportedPadding):
+        with pytest.raises(UnsupportedShape):
             generating_function(reduce(7, [1, 2], 2))
 
     @pytest.mark.parametrize("kmax", [-1, -2])
@@ -195,6 +195,11 @@ class TestGeneratingFunction:
         with pytest.raises(PreconditionViolated, match=f"kmax must be >= 0, got {kmax}$"):
             gf.taylor(kmax)
 
+    def test_order_below_one_rejected(self):
+        # Only a hand-built GeneratingFunction can carry q = 0.
+        with pytest.raises(PreconditionViolated, match="q must be >= 1, got 0$"):
+            spectrum.GeneratingFunction(0, 2, 0, (1,), 4).taylor(3)
+
     def test_constant_coefficient_is_one(self):
         for q, rots in [(7, [1, 2]), (195, [3, 5])]:
             gf = generating_function(reduce(q, rots))
@@ -202,6 +207,18 @@ class TestGeneratingFunction:
 
 
 class TestIsospectral:
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_separation_depth_lower_bound(self, padding):
+        # The lattice argument in isospectral_bound's docstring: for even
+        # q >= 4, L(q:1,1) and L(q:1,q/2) agree through degree q/2 and
+        # differ by 4 at q/2 + 1.
+        for q in range(4, 513, 2):
+            k = q // 2 + 1
+            a = multiplicity_series(reduce(q, [1, 1], padding), k)
+            b = multiplicity_series(reduce(q, [1, q // 2], padding), k)
+            assert list(a[:k]) == list(b[:k]), q
+            assert b[k] - a[k] == 4, q
+
     def test_identity(self):
         space = reduce(9, [1, 3])
         assert is_isospectral(space, space).isospectral
@@ -230,7 +247,7 @@ class TestIsospectral:
         assert "order" in decision.reason
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ShapeMismatch):
             is_isospectral(reduce(7, [1, 2]), reduce(7, [1, 2], 1))
 
     def test_truth_value_is_the_verdict(self):
@@ -367,7 +384,7 @@ class TestPoleOrder:
         assert pole_order(reduce(14, [2, 7]), 14) == 0
 
     def test_unsupported_padding(self):
-        with pytest.raises(UnsupportedPadding):
+        with pytest.raises(UnsupportedShape):
             pole_order(reduce(7, [1, 2], 2), 7)
 
     def test_exhaustive_against_cyclotomic_oracle(self):
