@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import shutil
 import sys
@@ -59,8 +60,8 @@ PER_Q_COLUMNS = ("q", "spaces", "classes", "pairs", "findings")
 PAIR_COLUMNS = ("q", "first", "second", "first_differing_k", "heat_verdict")
 
 
-def _jline(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# One encoder for every json-lines record; json.dumps would build one per call.
+_jline = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _csv(out, columns, recs=()):
@@ -97,6 +98,7 @@ def _command(sub, name: str, text: str, run, rotations: Optional[str] = "+", **i
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser of every subcommand; :func:`main` keeps one per process."""
     parser = argparse.ArgumentParser(
         prog="orbilens",
         description="Exact spectra, isospectrality and heat-trace coefficients "
@@ -125,6 +127,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="assert no isospectral non-isometric pair / find heat-degenerate pairs",
     )
     return parser
+
+
+@functools.lru_cache(maxsize=1)
+def _parser(modes: tuple[str, ...]) -> argparse.ArgumentParser:
+    """The parser ``main`` reuses, built on first use in a process.
+
+    Keyed on the sweep modes it offers as ``--mode`` choices, so a mode
+    added to :data:`SWEEP_MODES` later gets a parser that names it.
+    """
+    return build_parser()
 
 
 def _build_space(q: int, rotations: list[int], padding: int) -> LensSpace:
@@ -267,7 +279,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     cut = argv.index("--") if "--" in argv else len(argv)
     try:
-        args = build_parser().parse_args(argv[:cut])
+        args = _parser(tuple(SWEEP_MODES)).parse_args(argv[:cut])
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else int(exc.code)
     args.tail = argv[cut + 1 :] if cut < len(argv) else None

@@ -25,7 +25,6 @@ counterexamples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 from typing import Hashable, Iterable, Iterator, Optional
 
@@ -54,11 +53,12 @@ __all__ = [
 SMALL_Q_LIMIT = 8
 
 # Largest order a sweep accepts.  An order holds its classes, one key per
-# class, the fingerprints of one bucket and its findings.  The
+# class, the fingerprint matrix of one bucket and its findings.  The
 # (q/2 + 1)^2 table of isometry_classes sets the rigidity peak, about
-# 70 MB RSS at this cap.  A heat-degenerate order peaks higher (119 MB at
-# q = 3990) through its largest bucket: 432 classes whose full-depth rows
-# take 53 MiB, against 22 MiB for the findings it holds.
+# 70 MB RSS at this cap.  A heat-degenerate order peaks higher (104 MB at
+# q = 3990) through its largest bucket: 432 classes whose full-depth
+# int64 matrix takes 53 MiB, and 7 MiB more for the bool temporary of one
+# row's comparison, against 22 MiB for the findings it holds.
 MAX_SWEEP_ORDER = 4096
 
 
@@ -189,13 +189,22 @@ def _bucket_findings(classes: list[LensSpace], members: list[int], isospectral: 
     """Index pairs (i, j, first_differing_k) of one bucket that are findings.
 
     The members are fingerprinted through the certifying depth of
-    is_isospectral; the rows are released when the bucket is done.
+    is_isospectral into one matrix, one row per member, and each row is
+    compared with every later row in one step.  Bucket-mates share an
+    order and a padding, so the first row sets the width.  The matrix is
+    released when the bucket is done.
     """
-    rows = [multiplicity_series(classes[i], isospectral_bound(classes[i])) for i in members]
-    for (i, a), (j, b) in combinations(zip(members, rows), 2):
-        differ = np.flatnonzero(a != b)
-        if isospectral == (differ.size == 0):
-            yield i, j, int(differ[0]) if differ.size else None
+    series = (multiplicity_series(classes[i], isospectral_bound(classes[i])) for i in members)
+    row = next(series)
+    rows = np.empty((len(members), row.size), dtype=np.int64)
+    rows[0] = row
+    for r, row in enumerate(series, 1):
+        rows[r] = row
+    for r, i in enumerate(members[:-1]):
+        differ = rows[r + 1 :] != rows[r]
+        found, first = differ.any(axis=1), differ.argmax(axis=1)
+        for s in np.flatnonzero(found != isospectral):
+            yield i, members[r + 1 + s], int(first[s]) if found[s] else None
 
 
 # Each sweep mode's bucket key, and whether its findings are the

@@ -263,6 +263,12 @@ def evaluate_F(space: LensSpace, z: complex) -> complex:
     Sums (1+z)(1-z)^(1-W)/q over the group elements' characteristic
     factors.  Agrees with the exact series inside the unit disk; valid by
     analytic continuation away from the roots of unity elsewhere.
+
+    Refuses a z where some group element's factor is below 1e-13 in
+    size; the identity's factor (z - 1)^(2n) makes that a disk around
+    z = 1 itself, whatever the padding.  A value that is not a finite
+    float, as (1 - z)^(1 - W) overflows at a large padding, is refused
+    too.
     """
     z = complex(z)
     q = space.q
@@ -273,11 +279,14 @@ def evaluate_F(space: LensSpace, z: complex) -> complex:
         prod *= (z - roots[(p * ls) % q]) * (z - roots[(-p * ls) % q])
     if np.min(np.abs(prod)) < 1e-13:
         raise PoleEvaluation(f"z={z} is too close to a pole of a group-element factor")
-    w = space.padding
-    if w >= 2 and abs(1 - z) ** (w - 1) < 1e-13:
-        raise PoleEvaluation(f"z={z} is too close to the padded pole at z=1")
-    prefactor = (1 + z) * (1 - z) ** (1 - w)
-    return complex(prefactor / q * np.sum(1.0 / prod))
+    # numpy's power overflows to inf, where Python's complex power raises.
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = complex(
+            (1 + z) * np.complex128(1 - z) ** (1 - space.padding) / q * np.sum(1.0 / prod)
+        )
+    if not cmath.isfinite(value):
+        raise PoleEvaluation(f"z={z}: F(z) = {value} is not a finite float")
+    return value
 
 
 @dataclass(frozen=True)

@@ -467,6 +467,46 @@ class TestEntryPoints:
         assert "orbilens" in out + err
 
 
+class TestOneProcess:
+    # Valid commands of every kind, then what argparse answers itself
+    # (a usage error, --help, --version) and a refused -- tail, then the
+    # valid commands again: a parser kept between calls must answer each
+    # exactly as a fresh process does.
+    VALID = [
+        ["spectrum", "12", "1", "5", "--padding", "1", "--kmax", "8"],
+        ["isometric", "7", "1", "2", "--format", "json-lines", "--", "2", "3"],
+        ["isospectral", "195", "3", "5", "--", "6", "35"],
+        ["heat", "195", "3", "5", "--format", "csv"],
+    ]
+    OTHER = [
+        ["spectrum", "7", "x"],
+        ["sweep", "8", "9", "--mode", "bogus"],
+        ["--help"],
+        ["--version"],
+        ["heat", "195", "3", "5", "--", "1"],
+    ]
+
+    def test_many_commands_match_fresh_processes(self, capsys, monkeypatch):
+        # Help and usage text wrap at the terminal width; fix it for both.
+        monkeypatch.setenv("COLUMNS", "80")
+        fresh = {}
+        children = {
+            tuple(argv): subprocess.Popen([sys.executable, "-m", "orbilens.cli", *argv],
+                                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                          text=True)
+            for argv in self.VALID + self.OTHER
+        }
+        for argv, child in children.items():
+            out, err = child.communicate(timeout=60)
+            fresh[argv] = (child.returncode, out, err)
+        built, build = [], cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(build()) or built[-1])
+        cli._parser.cache_clear()
+        for argv in self.VALID + self.OTHER + self.VALID:
+            assert run_cli(capsys, *argv) == fresh[tuple(argv)], argv
+        assert len(built) == 1
+
+
 class TestRecordPrimitives:
     def test_fraction_roundtrip(self):
         for f in (Fraction(0), Fraction(-5, 3), Fraction(7), Fraction(1, 6240)):

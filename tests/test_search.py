@@ -5,7 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
-from collections import Counter
+from collections import Counter, defaultdict
 from itertools import combinations
 from math import comb
 
@@ -244,6 +244,55 @@ class TestHashedKey:
         assert len(calls) == sum(row.classes for row, _ in real if row.classes > 1)
 
 
+def assert_bucket_findings_exact(mode, classes, findings):
+    """Check one order's findings against is_isospectral, bucket pair by bucket pair.
+
+    A finding must carry is_isospectral's first_differing_k, and a pair
+    of bucket-mates that is no finding must be one the mode excludes.
+    Returns the number of bucket-mate pairs.
+    """
+    key, isospectral = search.SWEEP_MODES[mode]
+    found = {(f.first, f.second): f.first_differing_k for f in findings}
+    buckets = defaultdict(list)
+    for c in classes:
+        buckets[key(c)].append(c)
+    buckets.pop(None, None)
+    mates = 0
+    for members in buckets.values():
+        for a, b in combinations(members, 2):
+            mates += 1
+            decision = is_isospectral(a, b)
+            if (a, b) in found:
+                assert decision.isospectral == isospectral, (a, b)
+                assert found.pop((a, b)) == decision.first_differing_k, (a, b)
+            else:
+                assert decision.isospectral != isospectral, (a, b)
+    assert not found, "findings that are not bucket-mates"
+    return mates
+
+
+class TestBucketMatrix:
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("mode", list(search.SWEEP_MODES))
+    def test_every_order_to_48_against_is_isospectral(self, mode, padding):
+        for per_q, findings in sweep_stream(mode, 1, 48, padding):
+            classes, _ = isometry_classes(per_q.q, padding)
+            assert_bucket_findings_exact(mode, classes, findings)
+
+    # Every reduced pair of one order in one bucket: isometric members of
+    # a class are isospectral, members of distinct classes are not.
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("mode", list(search.SWEEP_MODES))
+    def test_one_bucket_of_isospectral_and_other_pairs(self, mode, padding, monkeypatch):
+        spaces = [LensSpace(12, rots, padding) for rots in all_reduced_pairs(12)]
+        monkeypatch.setattr(search, "isometry_classes", lambda q, padding: (spaces, len(spaces)))
+        _, isospectral = search.SWEEP_MODES[mode]
+        monkeypatch.setitem(search.SWEEP_MODES, mode, (lambda space: 0, isospectral))
+        [(per_q, findings)] = sweep_stream(mode, 12, 12, padding)
+        assert assert_bucket_findings_exact(mode, spaces, findings) == comb(len(spaces), 2)
+        assert 0 < per_q.findings == len(findings) < per_q.pairs
+
+
 def traced_peak(run):
     tracemalloc.start()
     try:
@@ -278,6 +327,18 @@ class TestSweepMemory:
         monkeypatch.setattr(search, "multiplicity_series", tracked)
         assert list(sweep_stream("heat-degenerate", q, q))[0][1]
         assert 2 <= most <= largest
+
+    # The order holds its bucket's fingerprint matrix, int64, and the
+    # bool temporary of one row's comparison with the rest: 9 bytes per
+    # cell of the largest bucket's (4q + 3)-wide rows.
+    @pytest.mark.parametrize("q", [720, 1024])
+    def test_heat_order_peak_within_one_bucket_matrix(self, q):
+        buckets = Counter(_heat_key(c) for c in isometry_classes(q)[0])
+        del buckets[None]
+        largest = max(buckets.values())
+        enumeration = traced_peak(lambda: isometry_classes(q))
+        sweep = traced_peak(lambda: list(sweep_stream("heat-degenerate", q, q)))
+        assert sweep <= enumeration + largest * (4 * q + 3) * 9
 
 
 class TestFindHeatDegenerate:

@@ -1,6 +1,7 @@
 import cmath
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -287,6 +288,27 @@ class TestEvaluateF:
     def test_pole_guard(self):
         with pytest.raises(PoleEvaluation):
             evaluate_F(reduce(7, [1, 2]), 1.0)
+
+    def test_large_padding_far_from_the_pole(self):
+        # The exact Taylor sum at z = 4/5: padding-0 multiplicities as
+        # Python ints, then one prefix sum per padded coordinate.  The
+        # terms beyond k = 1200 are below 1e-60.
+        counts = [int(m) for m in multiplicity_series(reduce(7, [1, 2]), 1200)]
+        for _ in range(20):
+            counts = list(accumulate(counts))
+        exact = float(sum(m * Fraction(4, 5) ** k for k, m in enumerate(counts)))
+        got = evaluate_F(reduce(7, [1, 2], 20), 0.8)
+        assert abs(got - exact) <= 1e-12 * exact
+
+    @pytest.mark.parametrize("z", [1.0, 1 - 1e-4, 1 + 1e-4j, 1 - 1e-14])
+    def test_large_padding_refused_close_to_the_pole(self, z):
+        with pytest.raises(PoleEvaluation, match="too close to a pole"):
+            evaluate_F(reduce(7, [1, 2], 20), z)
+
+    def test_value_beyond_float_range_refused(self):
+        # 0.1^(1 - 400) overflows a float.
+        with pytest.raises(PoleEvaluation, match="not a finite float"):
+            evaluate_F(reduce(7, [1, 2], 400), 0.9)
 
     def test_exact_form_refuses_its_pole(self):
         with pytest.raises(PoleEvaluation, match="z=1 is a pole"):
