@@ -7,22 +7,25 @@ weights ``+p`` and ``q - p``; each padded coordinate a variable of
 weight 0.  Counts stay exact in int64; degrees that could overflow that
 range are refused up front with :class:`CountingRangeExceeded`.
 
-In :func:`multiplicities`, the one entry, two rotation blocks are
-counted as 1-norm lattice points, following Lauret, Miatello and
-Rossetti, "Spectra of lens spaces from 1-norm spectra of congruence
-lattices" (IMRN 2016): an exponent tuple (a1, b1, a2, b2) is invariant
-exactly when (u, v) = (a1 - b1, a2 - b2) lies in the congruence lattice
+Two rotation blocks are counted as 1-norm lattice points, following
+Lauret, Miatello and Rossetti, "Spectra of lens spaces from 1-norm
+spectra of congruence lattices" (IMRN 2016): an exponent tuple
+(a1, b1, a2, b2) is invariant exactly when (u, v) = (a1 - b1, a2 - b2)
+lies in the congruence lattice
 
     L = {(u, v) : p1 u + p2 v = 0 mod q},
 
 and the tuples of degree m over a point of 1-norm j number
 (m - j)/2 + 1 when m - j is even and non-negative.  So the invariant
 counts are the 1-norm counts N(j) of L summed twice over j = m mod 2,
-and the multiplicities N summed once.  Time and memory are
-O(mmax), independent of q.
+and the multiplicities N summed once.  :func:`multiplicity_rows` counts
+a block of same-order pairs at padding 0 in one pass, one row per pair;
+time and memory are O(rows x kmax), independent of q.  A sweep
+fingerprints a bucket of classes as one such block.
 
-Any other number of variables goes through :func:`invariant_series`,
-the coin-change dynamic program
+:func:`multiplicities`, the entry for one space, takes two blocks as the
+one-row case of :func:`multiplicity_rows`.  Any other number of blocks
+goes through :func:`invariant_series`, the coin-change dynamic program
 
     count[m][r] += count[m-1][(r - w) mod q]
 
@@ -31,13 +34,14 @@ serves one rotation block, three or more; its (mmax + 1) x q table is
 capped at MAX_TABLE_CELLS, and so is (mmax + 1) x variables for every
 count.
 
-Every series step is one call of :func:`times_one_minus_zd`, the product
-with (1 - z^d)^power: the lag-step sums that build N, the lag-2 sum or
-difference that turns counts into multiplicities, and one prefix sum per
-padded coordinate.  More padded coordinates than degrees are added as
-one binomial-weighted convolution instead.  :mod:`orbilens.spectrum`
-runs the same operator on object arrays for the exact generating
-function and its pole orders.
+The lattice block sums its rows in place at lag ``step`` and at lag 2
+(:func:`_lag_prefix_sum`).  The other series steps are one call each of
+:func:`times_one_minus_zd`, the product with (1 - z^d)^power: the lag-2
+difference that turns the dynamic program's counts into multiplicities,
+and one prefix sum per padded coordinate.  More padded coordinates than
+degrees are added as one binomial-weighted convolution instead.
+:mod:`orbilens.spectrum` runs the same operator on object arrays for the
+exact generating function and its pole orders.
 """
 
 from __future__ import annotations
@@ -113,44 +117,135 @@ def times_one_minus_zd(a: np.ndarray, d: int, power: int) -> np.ndarray:
     for _ in range(power):
         rows[1:] -= rows[:-1]
     for _ in range(-power):
-        rows.cumsum(axis=0, out=rows)
+        np.add.accumulate(rows, axis=0, out=rows)
     return flat[:n]
 
 
-def _norm_counts(p1: int, p2: int, q: int, jmax: int) -> np.ndarray:
-    """N(j) = #{(u, v) : p1 u + p2 v = 0 mod q, |u| + |v| = j} for j = 0..jmax.
+# Start points counted in one pass of multiplicity_rows, in int64 cells
+# of its (rows, 2, degrees) grid (1 MiB), so a bucket of long rows is
+# counted a slice of rows at a time.  The largest heat bucket at
+# q = 3990 (432 rows) counted as fast in slices of 2^15 to 2^19 cells,
+# and slower in larger ones.
+ROW_CHUNK_CELLS = 1 << 17
+
+
+def _lattice_row(p1: int, p2: int, q: int) -> tuple[int, int, int]:
+    """(step, h, c) of the congruence lattice {(u, v) : p1 u + p2 v = 0 mod q}.
 
     Solves for the coordinate x whose progression step q / gcd(coeff, q)
-    is coarser, row by row of the other coordinate y.  On an admissible
-    row the solutions x >= 0 and x < 0 are two progressions of that step
-    starting at 1-norms |y| + x0 and |y| + step - x0, so N is the count
-    of start points per norm, summed at lag ``step``.
+    is coarser, row by row of the other coordinate y.  Row y is
+    admissible when y = h t for t >= 0, and there x0 = (c t) mod step.
     """
     a, b = p1 % q, p2 % q
     if q // math.gcd(b, q) > q // math.gcd(a, q):
         a, b = b, a
     g = math.gcd(a, q)
     step = q // g
-    # Row y is admissible when g divides b*y: y = h*t for t >= 0.
-    h = g // math.gcd(g, b)
-    # There x0 = (-(b/g) y * (a/g)^-1) mod step = (c t) mod step.
-    c = (-(b // math.gcd(g, b)) * pow(a // g, -1, step)) % step
-    tmax = jmax // h
-    # Offsets that could pass 2^63 stay exact as Python integers; a start
-    # past jmax is never counted, so only the rest become int64.
-    big = max(c * tmax, h, step + jmax) >= 2**63
-    t = np.arange(tmax + 1, dtype=object if big else np.int64)
-    x0 = (c * t) % step
-    y = h * t
-    starts = np.concatenate((y + x0, y + (step - x0)))
-    starts = starts[starts <= jmax].astype(np.int64, copy=False)
-    # Rows -y and y give the same pair of starts, so every row counts
-    # twice except y = 0, whose starts are 0 and step.
-    first = 2 * np.bincount(starts, minlength=jmax + 1)
-    first[0] -= 1
-    if step <= jmax:
-        first[step] -= 1
-    return times_one_minus_zd(first, step, -1)
+    gb = math.gcd(g, b)
+    return step, g // gb, (-(b // gb) * pow(a // g, -1, step)) % step
+
+
+def _lag_prefix_sum(rows: np.ndarray, d: int) -> None:
+    """Replace each row of a C-ordered 2-D array by its prefix sum at lag d, in place.
+
+    That is the product of each row with 1 / (1 - z^d).  numpy sums a
+    reshaped view down its groups of d columns with one inner loop per
+    column of the groups, about 1/48 of the cost of one slice addition
+    here (2-vCPU VM, numpy 2.4).  So few groups are added one at a time
+    and many short ones summed down the view.
+    """
+    width = rows.shape[1]
+    whole = width - width % d
+    if (whole // d - 1) * 48 > len(rows) * d:
+        groups = rows[:, :whole].reshape(len(rows), -1, d)
+        np.add.accumulate(groups, axis=1, out=groups)
+        start = whole
+    else:
+        start = d
+    for at in range(start, width, d):
+        rows[:, at : at + d] += rows[:, at - d : min(at, width - d)]
+
+
+def multiplicity_rows(pairs, q: int, kmax: int) -> np.ndarray:
+    """Padding-0 multiplicities for k = 0..kmax of two-block rotation pairs of order q.
+
+    Row r counts the pair ``pairs[r]``.  Each row's lattice (see
+    :func:`_lattice_row`) has the solutions x >= 0 and x < 0 of an
+    admissible row y as two progressions of its step, starting at the
+    1-norms |y| + x0 and |y| + step - x0.  So a row's norm counts N are
+    the histogram of those start points summed at lag ``step``, and its
+    multiplicities are N summed at lag 2.  A slice of rows is counted in
+    one pass (:func:`_count_rows`); the result is a view of the columns
+    0..kmax.
+    """
+    _check_range(q, kmax, 4)
+    setup = [_lattice_row(p1, p2, q) for p1, p2 in pairs]
+    # An even width holds kmax + 1 degrees and a spare column.
+    width = kmax + 2 + kmax % 2
+    out = np.empty((len(setup), width), np.int64)
+    chunk = max(1, ROW_CHUNK_CELLS // (2 * (kmax + 1)))
+    for lo in range(0, len(setup), chunk):
+        _count_rows(setup[lo : lo + chunk], q, out[lo : lo + chunk])
+    return out[:, : kmax + 1]
+
+
+def _count_rows(setup, q: int, out: np.ndarray) -> None:
+    """Fill ``out`` with the multiplicities of the rows whose (step, h, c) are ``setup``.
+
+    The start points of all rows are one ``bincount`` over the offsets
+    ``row * width + start``; a start past the degrees lands in the spare
+    last column, which the lag sums only carry further right.  Rows -y
+    and y give the same pair of starts, so every admissible row counts
+    twice.  Row y = 0 is its own mirror: its x < 0 progression counts
+    twice, as x and -x, and its x >= 0 one starts at the origin, which
+    is left out of the histogram and counted once as N(0) = 1.  Then
+    come one lag sum per distinct step (every step divides q, so there
+    are few) and one lag-2 sum.  One row takes its (step, h, c) as
+    scalars and its starts as a (2, t) grid, several rows as columns and
+    a (rows, 2, t) grid; the steps are the same.
+    """
+    rows, width = out.shape
+    steps, hs, cs = zip(*setup)
+    tmax = (width - 2) // min(hs)
+    # Every offset is below q * width (h and c are below q).  Past 2^63
+    # they stay exact as Python integers, and every start is clipped to
+    # the spare column before it becomes int64.
+    dtype = object if q * width >= 2**63 else np.int64
+    if rows == 1:
+        (step, h, c), grid = setup[0], (2, tmax + 1)
+    else:
+        step, h, c = (np.array(col, dtype)[:, None] for col in (steps, hs, cs))
+        grid = (rows, 2, tmax + 1)
+    t = np.arange(tmax + 1, dtype=dtype)
+    y = t if max(hs) == 1 else h * t
+    starts = np.empty(grid, dtype)
+    x0 = starts[..., 1, :]
+    np.multiply(c, t, out=x0)
+    np.remainder(x0, step, out=x0)
+    np.add(y, x0, out=starts[..., 0, :])
+    np.subtract(step, x0, out=x0)
+    x0 += y
+    np.minimum(starts, width - 1, out=starts)
+    starts[..., 0, 0] = width - 1
+    if dtype is object:
+        starts = starts.astype(np.int64)
+    if rows > 1:
+        starts += (width * np.arange(rows))[:, None, None]
+    counts = np.bincount(starts.ravel(), minlength=out.size)
+    np.multiply(counts.reshape(rows, width), 2, out=out)
+    distinct = sorted(set(steps))
+    for d in distinct:
+        if d >= width - 1:
+            break
+        if len(distinct) == 1:
+            _lag_prefix_sum(out, d)
+        else:
+            at = [r for r, s in enumerate(steps) if s == d]
+            lagged = out[at]
+            _lag_prefix_sum(lagged, d)
+            out[at] = lagged
+    out[:, 0] = 1
+    _lag_prefix_sum(out, 2)
 
 
 def multiplicities(rotations, q: int, padding: int, kmax: int) -> np.ndarray:
@@ -162,7 +257,7 @@ def multiplicities(rotations, q: int, padding: int, kmax: int) -> np.ndarray:
     """
     _check_range(q, kmax, 2 * len(rotations) + padding)
     if len(rotations) == 2:
-        mult = times_one_minus_zd(_norm_counts(*rotations, q, kmax), 2, -1)
+        mult = multiplicity_rows([rotations], q, kmax)[0]
     else:
         counts = invariant_series([w for p in rotations for w in (p, -p)], q, kmax)
         mult = times_one_minus_zd(counts, 2, 1)
@@ -177,4 +272,4 @@ def multiplicities(rotations, q: int, padding: int, kmax: int) -> np.ndarray:
         for i in range(1, kmax + 1):
             weights.append(weights[-1] * (padding + i - 1) // i)
         return np.convolve(mult, np.array(weights, np.int64))[: kmax + 1]
-    return times_one_minus_zd(mult, 1, -padding)
+    return times_one_minus_zd(mult, 1, -padding) if padding else mult

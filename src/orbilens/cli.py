@@ -36,14 +36,14 @@ import sys
 import tempfile
 import time
 from operator import itemgetter
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import records
 from ._version import __version__
 from .core import LensSpace, is_isometric, reduce as reduce_space, sphere
 from .errors import InternalInvariant, OrbilensError, PreconditionViolated
 from .heat import heat_expansion_3d
-from .search import SWEEP_MODES, summarize_sweep, sweep_stream
+from .search import SWEEP_MODES, PairReport, summarize_sweep, sweep_stream
 from .spectrum import is_isospectral, spectrum_table
 
 EXIT_OK = 0
@@ -62,6 +62,47 @@ PAIR_COLUMNS = ("q", "first", "second", "first_differing_k", "heat_verdict")
 
 # One encoder for every json-lines record; json.dumps would build one per call.
 _jline = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+# The pair record's fields that vary from pair to pair, in the order
+# _pair_lines fills them in.
+PAIR_FIELDS = ("q", "first", "second", "isospectral", "first_differing_k", "heat_verdict")
+
+
+@functools.lru_cache(maxsize=1)
+def _pair_template() -> str:
+    """A pair record's json line, with format field i for ``PAIR_FIELDS[i]``.
+
+    Read off the encoding of ``records.pair_record`` itself: each
+    varying field holds a marker string, whose encoding is then replaced
+    by the field, so every other byte is the record's own.
+    """
+    rec = records.pair_record(PairReport(sphere(), sphere(), None))
+    rec.update((field, f"<{field}>") for field in PAIR_FIELDS)
+    line = _jline(rec).replace("{", "{{").replace("}", "}}")
+    for i, field in enumerate(PAIR_FIELDS):
+        line = line.replace(_jline(f"<{field}>"), f"{{{i}}}")
+    return line
+
+
+def _pair_lines(q: int, pairs: list[PairReport]) -> Iterator[str]:
+    """The json lines of one order's pair reports, as ``_jline(records.pair_record(p))``.
+
+    A class's space record is encoded once, keyed by the identity of the
+    class object the reports share (the list keeps every one alive), and
+    so is each distinct (first_differing_k, heat_verdict) verdict.
+    """
+    fill = _pair_template().format
+    order = _jline(q)
+    spaces: dict[int, str] = {}
+    verdicts: dict[tuple, tuple] = {}
+    for p in pairs:
+        for space in (p.first, p.second):
+            if id(space) not in spaces:
+                spaces[id(space)] = _jline(records.lens_record(space))
+        key = (p.first_differing_k, p.heat_verdict)
+        if key not in verdicts:
+            verdicts[key] = tuple(map(_jline, (p.isospectral, *key)))
+        yield fill(order, spaces[id(p.first)], spaces[id(p.second)], *verdicts[key])
 
 
 def _csv(out, columns, recs=()):
@@ -234,17 +275,19 @@ def _cmd_sweep(args, out) -> None:
         row = _csv(out, PER_Q_COLUMNS if per_order else PAIR_COLUMNS)
     results = []
     for per_q, findings in stream:
-        for pair in findings:
-            if args.format == "text":
+        if args.format == "json-lines":
+            for line in _pair_lines(per_q.q, findings):
+                print(line, file=out)
+        elif args.format == "text":
+            for pair in findings:
                 tag = pair.heat_verdict or ("ISOSPECTRAL" if pair.isospectral else "")
                 print(
                     f"pair q={per_q.q} {pair.first} | {pair.second} "
                     f"first_differing_k={pair.first_differing_k} {tag}".rstrip(),
                     file=out,
                 )
-            elif args.format == "json-lines":
-                print(_jline(records.pair_record(pair)), file=out)
-            elif not per_order:
+        elif not per_order:
+            for pair in findings:
                 row({**records.pair_record(pair), "first": str(pair.first),
                      "second": str(pair.second)})
         rec = records.per_q_record(per_q)
@@ -293,7 +336,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         # its contents.  The output is spooled to an anonymous file and
         # copied into the target in place, only when the command succeeds;
         # renaming a file over the target would replace a symlink or a
-        # device with a regular file.
+        # device with a regular file.  The copy moves the spooled bytes
+        # as they are, without decoding them into text.
         try:
             open(args.out, "a", encoding="utf-8").close()
         except OSError as exc:
@@ -301,8 +345,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         with tempfile.TemporaryFile("w+", encoding="utf-8") as spool:
             args.run(args, spool)
             spool.seek(0)
-            with open(args.out, "w", encoding="utf-8") as fh:
-                shutil.copyfileobj(spool, fh)
+            with open(args.out, "wb") as fh:
+                shutil.copyfileobj(spool.buffer, fh)
         return EXIT_OK
     except InternalInvariant as exc:
         print(f"internal error: {exc}", file=sys.stderr)

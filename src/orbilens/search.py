@@ -1,15 +1,23 @@
 """Exhaustive desk-scale sweeps over lens-space quotients.
 
 Enumerates one canonical representative per isometry class for each
-group order, then buckets the order's classes by the sweep mode's key
-(:data:`SWEEP_MODES`): the hash of a spectral fingerprint for the
-rigidity sweep, the heat matching key for the degeneracy sweep.  The
-members of one bucket at a time are fingerprinted and compared exactly.
-A pair with equal spectra is a rigidity finding (an isospectral pair;
-none are expected), and a pair whose spectra differ is a heat-degenerate
-finding.  All C(classes, 2) pairs are decided, but only bucket-mates are
-compared, so an order holds its classes, one key per class and the
-fingerprints of one bucket.
+group order, then buckets the order's classes by the sweep mode's keys
+(:data:`SWEEP_MODES`): the hash of a spectral prefix for the rigidity
+sweep, the heat matching key for the degeneracy sweep.  Every
+fingerprint is prefix-first: an order's classes are counted as blocks of
+padding-0 multiplicity rows through the prefix depth q/2 + 2
+(:func:`_prefix_depth`), which separates every pair of distinct classes
+measured so far, in both paddings.  The rigidity keys are hashes of
+those rows, counted a chunk of classes at a time.  The members of one
+bucket at a time are counted as one block and compared; only a pair
+that agrees through the prefix is deepened to the certifying depth of
+:func:`orbilens.spectrum.is_isospectral` and compared there, so every
+verdict and first differing degree is exact.  A pair with equal spectra
+is a rigidity finding (an isospectral pair; none are expected), and a
+pair whose spectra differ is a heat-degenerate finding.  All
+C(classes, 2) pairs are decided, but only bucket-mates are compared, so
+an order holds its classes, one key per class and the prefix rows of
+one bucket.
 Orders are independent work units, swept one at a time in ascending
 order.  Each yields a :class:`PerQ` row, and those rows are the one
 source of every sweep total: :func:`summarize_sweep` only collects the
@@ -30,6 +38,7 @@ from typing import Hashable, Iterable, Iterator, Optional
 
 import numpy as np
 
+from ._kernels import multiplicity_rows
 from .core import LensSpace, _folded_orbit, _integer, _order, sphere, units
 from .errors import PreconditionViolated
 from .heat import HeatVerdict, _heat_key
@@ -53,13 +62,19 @@ __all__ = [
 SMALL_Q_LIMIT = 8
 
 # Largest order a sweep accepts.  An order holds its classes, one key per
-# class, the fingerprint matrix of one bucket and its findings.  The
-# (q/2 + 1)^2 table of isometry_classes sets the rigidity peak, about
-# 70 MB RSS at this cap.  A heat-degenerate order peaks higher (104 MB at
-# q = 3990) through its largest bucket: 432 classes whose full-depth
-# int64 matrix takes 53 MiB, and 7 MiB more for the bool temporary of one
-# row's comparison, against 22 MiB for the findings it holds.
+# class, the prefix rows of one bucket and its findings.  The
+# (q/2 + 1)^2 table of isometry_classes sets the peak of both modes:
+# about 70 MB RSS for rigidity at this cap, and 75 MB for the
+# heat-degenerate order q = 3990, whose largest bucket of 432 classes
+# takes 6.6 MiB of prefix rows (q/2 + 3 wide) while its 22 MiB of
+# findings are held.
 MAX_SWEEP_ORDER = 4096
+
+# Cells of the block of prefix rows counted at once for rigidity keys
+# (128 KiB).  Blocks of 2^13 to 2^16 cells counted the keys of an order
+# equally fast at q = 400, 1024, 2048 and 4004; a block this small keeps
+# a rigidity order's peak that of its enumeration.
+KEY_CHUNK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -167,16 +182,18 @@ def _check_range(qmin: int, qmax: int, padding: int) -> None:
 
 
 def _sweep_order(q: int, padding: int, mode: str) -> tuple[PerQ, list[PairReport]]:
-    # Classes are bucketed by the mode's key; a class without a key is
-    # never paired.  Only bucket-mates are compared, exactly, so a key
-    # collision cannot make a finding.  Findings are sorted by class
+    # Classes are bucketed by the mode's keys; a class without a key is
+    # never paired, and an order of one class takes no keys.  Only
+    # bucket-mates are compared, exactly, so a key collision cannot make
+    # a finding.  Findings are sorted by class
     # index pair.  Heat findings share a matching key, so their heat
     # expansions are equal by the isotropy lemma.
-    key, isospectral = SWEEP_MODES[mode]
+    keys, isospectral = SWEEP_MODES[mode]
     classes, spaces = isometry_classes(q, padding)
     buckets: dict[Hashable, list[int]] = {}
-    for i, c in enumerate(classes):
-        buckets.setdefault(key(c), []).append(i)
+    if len(classes) > 1:
+        for i, key in enumerate(keys(classes)):
+            buckets.setdefault(key, []).append(i)
     buckets.pop(None, None)
     pairs = sorted(pair for members in buckets.values() if len(members) > 1
                    for pair in _bucket_findings(classes, members, isospectral))
@@ -185,36 +202,76 @@ def _sweep_order(q: int, padding: int, mode: str) -> tuple[PerQ, list[PairReport
     return PerQ(q, spaces, len(classes), comb(len(classes), 2), len(findings)), findings
 
 
+def _prefix_depth(space: LensSpace) -> int:
+    """Degree through which an order's classes are fingerprinted for keys and buckets.
+
+    Every pair of distinct classes of an order up to 256 first differs
+    by degree q/2 + 1, and at even q some pair differs no earlier (see
+    :func:`isospectral_bound`).  A pair that agrees through this depth
+    is deepened to the certifying bound, so the depth sets speed only.
+    """
+    return min(isospectral_bound(space), space.q // 2 + 2)
+
+
+def _prefix_rows(classes: list[LensSpace], depth: int) -> np.ndarray:
+    """Padding-0 multiplicities through ``depth`` of same-order classes, one row each.
+
+    A padded coordinate is an invertible prefix sum, so two classes'
+    padding-0 rows agree through a degree exactly when their rows at
+    any padding do, and first differ at the same degree.
+    """
+    return multiplicity_rows([c.rotations for c in classes], classes[0].q, depth)
+
+
 def _bucket_findings(classes: list[LensSpace], members: list[int], isospectral: bool):
     """Index pairs (i, j, first_differing_k) of one bucket that are findings.
 
-    The members are fingerprinted through the certifying depth of
-    is_isospectral into one matrix, one row per member, and each row is
-    compared with every later row in one step.  Bucket-mates share an
-    order and a padding, so the first row sets the width.  The matrix is
-    released when the bucket is done.
+    The members are fingerprinted through the prefix depth into one
+    matrix, one row per member, and each row is compared with every
+    later row in one step.  A pair that differs there differs first
+    where its rows do.  Only a pair that agrees through the prefix is
+    deepened: both spectra through the certifying depth of
+    is_isospectral, each computed once per bucket.
     """
-    series = (multiplicity_series(classes[i], isospectral_bound(classes[i])) for i in members)
-    row = next(series)
-    rows = np.empty((len(members), row.size), dtype=np.int64)
-    rows[0] = row
-    for r, row in enumerate(series, 1):
-        rows[r] = row
+    rows = _prefix_rows([classes[i] for i in members], _prefix_depth(classes[members[0]]))
+    deep: dict[int, np.ndarray] = {}
     for r, i in enumerate(members[:-1]):
         differ = rows[r + 1 :] != rows[r]
-        found, first = differ.any(axis=1), differ.argmax(axis=1)
-        for s in np.flatnonzero(found != isospectral):
-            yield i, members[r + 1 + s], int(first[s]) if found[s] else None
+        found = differ.any(axis=1)
+        if not isospectral:
+            first = differ.argmax(axis=1)
+            for s in np.flatnonzero(found):
+                yield i, members[r + 1 + s], int(first[s])
+        for s in np.flatnonzero(~found):
+            j = members[r + 1 + s]
+            for m in (i, j):
+                if m not in deep:
+                    deep[m] = multiplicity_series(classes[m], isospectral_bound(classes[m]))
+            k = np.flatnonzero(deep[i] != deep[j])
+            if (k.size == 0) == isospectral:
+                yield i, j, int(k[0]) if k.size else None
 
 
-# Each sweep mode's bucket key, and whether its findings are the
-# isospectral pairs (rigidity) or the pairs whose spectra differ
-# (heat-degenerate).  The rigidity key is the hash of a fingerprint, so
-# an order holds a fixed-size key per class.  The CLI offers the modes as
-# its --mode choices, in this order.
+def _prefix_keys(classes: list[LensSpace]):
+    """Rigidity keys: the hash of each class's padding-0 prefix row.
+
+    Classes are counted a block of KEY_CHUNK_CELLS at a time, so an
+    order holds one block's rows and a fixed-size key per class.
+    """
+    depth = _prefix_depth(classes[0])
+    chunk = max(1, KEY_CHUNK_CELLS // (depth + 1))
+    for lo in range(0, len(classes), chunk):
+        for row in _prefix_rows(classes[lo : lo + chunk], depth):
+            yield hash(row.tobytes())
+
+
+# Each sweep mode's bucket keys, one per class of an order's class list,
+# and whether its findings are the isospectral pairs (rigidity) or the
+# pairs whose spectra differ (heat-degenerate).  The CLI offers the modes
+# as its --mode choices, in this order.
 SWEEP_MODES = {
-    "rigidity": (lambda c: hash(multiplicity_series(c, isospectral_bound(c)).tobytes()), True),
-    "heat-degenerate": (_heat_key, False),
+    "rigidity": (_prefix_keys, True),
+    "heat-degenerate": (lambda classes: map(_heat_key, classes), False),
 }
 
 

@@ -24,6 +24,7 @@ from orbilens.search import (
 from orbilens.spectrum import is_isospectral, spectrum_table
 
 import oracles
+from test_search import share_one_fingerprint
 
 
 def run_cli(capsys, *argv):
@@ -505,6 +506,54 @@ class TestOneProcess:
         for argv in self.VALID + self.OTHER + self.VALID:
             assert run_cli(capsys, *argv) == fresh[tuple(argv)], argv
         assert len(built) == 1
+
+
+class TestColdPath:
+    # numpy imports numpy.ma on first use of some calls (np.unique among
+    # them); a benchmark worker sweeps once, so that import would count.
+    COMMANDS = [
+        ["sweep", "195", "195", "--mode", "heat-degenerate", "--padding", "1"],
+        ["spectrum", "12", "1", "5", "--padding", "1", "--kmax", "8"],
+        ["isometric", "7", "1", "2", "--", "2", "3"],
+        ["isospectral", "195", "3", "5", "--", "6", "35"],
+        ["heat", "195", "3", "5"],
+    ]
+
+    def test_sweep_and_queries_leave_numpy_ma_unimported(self):
+        script = (
+            "import io, sys\n"
+            "from orbilens import cli\n"
+            "sys.stdout, sys.stderr = io.StringIO(), io.StringIO()\n"
+            f"codes = [cli.main(argv) for argv in {self.COMMANDS!r}]\n"
+            "sys.stdout = sys.__stdout__\n"
+            "print(codes, 'numpy.ma' in sys.modules)\n"
+        )
+        res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             check=True)
+        assert res.stdout == f"{[0] * len(self.COMMANDS)} False\n"
+
+
+class TestPairLines:
+    # The pair lines come from a template read off records.pair_record's
+    # encoding; each must be the line that encoding gives.
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_heat_findings_match_the_record_encoding(self, padding):
+        pairs = 0
+        for per_q, findings in search.sweep_stream("heat-degenerate", 1, 80, padding):
+            lines = list(cli._pair_lines(per_q.q, findings))
+            assert lines == [cli._jline(records.pair_record(p)) for p in findings]
+            pairs += len(lines)
+        assert pairs > 1000
+
+    def test_shared_fingerprint_rigidity_pairs_match_the_record_encoding(self, monkeypatch):
+        share_one_fingerprint(monkeypatch)
+        [(per_q, findings)] = search.sweep_stream("rigidity", 12, 12, 1)
+        assert findings and all(
+            p.isospectral and p.first_differing_k is None and p.heat_verdict is None
+            for p in findings
+        )
+        lines = list(cli._pair_lines(per_q.q, findings))
+        assert lines == [cli._jline(records.pair_record(p)) for p in findings]
 
 
 class TestRecordPrimitives:

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -202,3 +203,34 @@ def test_dp_table_cap_refuses_before_allocating(monkeypatch):
         _kernels.invariant_series([1, -1], 400, 100_000_000)
     with pytest.raises(CountingRangeExceeded):
         multiplicity_series(reduce(400, [1]), 100_000_000)
+
+
+@pytest.mark.parametrize("padding", [0, 1])
+def test_block_rows_equal_single_spaces_small_q(padding):
+    # Padding 1 is one prefix sum of the padding-0 rows.
+    for q in range(1, 61):
+        classes, _ = isometry_classes(q, padding)
+        kmax = 4 * q + 2
+        block = _kernels.multiplicity_rows([c.rotations for c in classes], q, kmax)
+        assert block.shape == (len(classes), kmax + 1)
+        rows = np.cumsum(block, axis=1) if padding else block
+        for space, row in zip(classes, rows):
+            assert np.array_equal(row, multiplicity_series(space, kmax)), space
+
+
+def test_block_rows_equal_single_spaces_on_seeded_sample(monkeypatch):
+    # Every slice of rows counted apart, as a large bucket is.
+    rng = random.Random(4096)
+    for q in [rng.randint(61, 4096) for _ in range(10)] + [4096]:
+        pairs = []
+        while len(pairs) < 25:
+            p1, p2 = rng.randint(1, q - 1), rng.randint(1, q - 1)
+            if math.gcd(p1, p2, q) == 1:
+                pairs.append((p1, p2))
+        kmax = q // 2 + 2
+        block = _kernels.multiplicity_rows(pairs, q, kmax)
+        monkeypatch.setattr(_kernels, "ROW_CHUNK_CELLS", 3 * 2 * (kmax + 1))
+        assert np.array_equal(_kernels.multiplicity_rows(pairs, q, kmax), block)
+        monkeypatch.undo()
+        for pair, row in zip(pairs, block):
+            assert np.array_equal(row, multiplicity_series(LensSpace(q, pair), kmax)), (q, pair)

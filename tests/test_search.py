@@ -171,13 +171,21 @@ class TestVerifyRigidity:
                 assert is_isospectral(member, rep).isospectral
 
 
+def share_one_fingerprint(monkeypatch):
+    """Give every class one prefix row and, when deepened, one spectrum."""
+    shared = np.arange(5, dtype=np.int64)
+    monkeypatch.setattr(
+        search, "_prefix_rows", lambda classes, depth: np.tile(shared, (len(classes), 1))
+    )
+    monkeypatch.setattr(search, "multiplicity_series", lambda space, kmax: shared)
+
+
 class TestRigidityFindings:
     # No swept order has isospectral classes, so one shared fingerprint
     # stands in for a collision of every class with every other.
     @pytest.mark.parametrize("q", [9, 12, 20, 30])
     def test_shared_fingerprint_reports_every_pair(self, q, monkeypatch):
-        shared = np.arange(5, dtype=np.int64)
-        monkeypatch.setattr(search, "multiplicity_series", lambda space, kmax: shared)
+        share_one_fingerprint(monkeypatch)
         classes, spaces = isometry_classes(q)
         per_q, findings = next(search.sweep_stream("rigidity", q, q, 0))
         assert [(f.first, f.second) for f in findings] == list(combinations(classes, 2))
@@ -208,8 +216,7 @@ class TestRigidityFindings:
     )
 
     def test_shared_fingerprint_pair_records_pinned(self, capsys, monkeypatch):
-        shared = np.arange(5, dtype=np.int64)
-        monkeypatch.setattr(search, "multiplicity_series", lambda space, kmax: shared)
+        share_one_fingerprint(monkeypatch)
         assert cli.main(["sweep", "9", "9", "--format", "json-lines"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert [l for l in lines if json.loads(l)["record"] == "pair"] == self.PAIR_LINES
@@ -233,15 +240,24 @@ class TestHashedKey:
     @pytest.mark.parametrize("padding", [0, 1])
     def test_exact_comparison_refuses_colliding_keys(self, padding, monkeypatch):
         real = list(sweep_stream("rigidity", 1, 60, padding))
-        calls = []
-        series = search.multiplicity_series
-        monkeypatch.setattr(search, "multiplicity_series", lambda *a: calls.append(a) or series(*a))
-        monkeypatch.setitem(search.SWEEP_MODES, "rigidity", (lambda space: 0, True))
+        blocks, deepened = [], []
+        rows_of, series = search._prefix_rows, search.multiplicity_series
+        monkeypatch.setattr(
+            search, "_prefix_rows", lambda *a: blocks.append(len(a[0])) or rows_of(*a)
+        )
+        monkeypatch.setattr(
+            search, "multiplicity_series", lambda *a: deepened.append(a) or series(*a)
+        )
+        monkeypatch.setitem(
+            search.SWEEP_MODES, "rigidity", (lambda classes: [0] * len(classes), True)
+        )
         collided = list(sweep_stream("rigidity", 1, 60, padding))
         assert [row for row, _ in collided] == [row for row, _ in real]
         assert all(reports == [] for _, reports in real + collided)
-        # Every class of an order with two or more shares the one bucket.
-        assert len(calls) == sum(row.classes for row, _ in real if row.classes > 1)
+        # Every class of an order with two or more shares the one bucket,
+        # fingerprinted as one block, and the prefixes refuse every pair.
+        assert blocks == [row.classes for row, _ in real if row.classes > 1]
+        assert deepened == []
 
 
 def assert_bucket_findings_exact(mode, classes, findings):
@@ -254,8 +270,8 @@ def assert_bucket_findings_exact(mode, classes, findings):
     key, isospectral = search.SWEEP_MODES[mode]
     found = {(f.first, f.second): f.first_differing_k for f in findings}
     buckets = defaultdict(list)
-    for c in classes:
-        buckets[key(c)].append(c)
+    for c, k in zip(classes, key(classes)):
+        buckets[k].append(c)
     buckets.pop(None, None)
     mates = 0
     for members in buckets.values():
@@ -287,10 +303,57 @@ class TestBucketMatrix:
         spaces = [LensSpace(12, rots, padding) for rots in all_reduced_pairs(12)]
         monkeypatch.setattr(search, "isometry_classes", lambda q, padding: (spaces, len(spaces)))
         _, isospectral = search.SWEEP_MODES[mode]
-        monkeypatch.setitem(search.SWEEP_MODES, mode, (lambda space: 0, isospectral))
+        monkeypatch.setitem(
+            search.SWEEP_MODES, mode, (lambda classes: [0] * len(classes), isospectral)
+        )
         [(per_q, findings)] = sweep_stream(mode, 12, 12, padding)
         assert assert_bucket_findings_exact(mode, spaces, findings) == comb(len(spaces), 2)
         assert 0 < per_q.findings == len(findings) < per_q.pairs
+
+
+class TestPrefixDeepening:
+    # At a prefix of one degree most bucket-mates agree on it, so the
+    # sweep decides them at the certifying depth.
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("mode", list(search.SWEEP_MODES))
+    def test_every_order_to_48_against_is_isospectral(self, mode, padding, monkeypatch):
+        deepened = []
+        series = search.multiplicity_series
+        monkeypatch.setattr(search, "_prefix_depth", lambda space: 1)
+        monkeypatch.setattr(
+            search, "multiplicity_series", lambda *a: deepened.append(a) or series(*a)
+        )
+        for per_q, findings in sweep_stream(mode, 1, 48, padding):
+            classes, _ = isometry_classes(per_q.q, padding)
+            assert_bucket_findings_exact(mode, classes, findings)
+        assert len(deepened) > 100
+
+    # For even q, L(q:1,1) and L(q:1,q/2) agree through degree q/2 and
+    # first differ at q/2 + 1 (see isospectral_bound), inside the sweep's
+    # prefix.  Keyed on q/2 degrees they share a bucket and agree on its
+    # prefix, so only the exact comparison can tell them apart.
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_prefix_collision_refused_by_exact_comparison(self, padding, monkeypatch):
+        keys, _ = search.SWEEP_MODES["rigidity"]
+        for q in range(8, 65, 2):
+            pair = [LensSpace(q, (1, 1), padding), LensSpace(q, (1, q // 2), padding)]
+            assert canonical_form(pair[1]) == pair[1]
+            assert is_isospectral(*pair).first_differing_k == q // 2 + 1
+            first, second = keys(pair)
+            assert first != second
+        monkeypatch.setattr(search, "_prefix_depth", lambda space: space.q // 2)
+        deepened = []
+        series = search.multiplicity_series
+        monkeypatch.setattr(
+            search, "multiplicity_series", lambda *a: deepened.append(a[0]) or series(*a)
+        )
+        for q in range(8, 65, 2):
+            pair = [LensSpace(q, (1, 1), padding), LensSpace(q, (1, q // 2), padding)]
+            first, second = keys(pair)
+            assert first == second
+            [(per_q, findings)] = sweep_stream("rigidity", q, q, padding)
+            assert findings == [] and per_q.findings == 0
+            assert set(pair) <= set(deepened)
 
 
 def traced_peak(run):
@@ -315,16 +378,19 @@ class TestSweepMemory:
         del buckets[None]
         assert max(buckets.values()) == largest
         alive, most = [], 0
-        series = search.multiplicity_series
 
-        def tracked(space, kmax):
-            nonlocal most
-            row = series(space, kmax)
-            alive.append(weakref.ref(row))
-            most = max(most, sum(ref() is not None for ref in alive))
-            return row
+        def tracked(fingerprint):
+            # Count the fingerprint rows still reachable once these are made.
+            def made(*args):
+                nonlocal most
+                rows = fingerprint(*args)
+                alive.append((weakref.ref(rows), len(rows) if rows.ndim == 2 else 1))
+                most = max(most, sum(n for ref, n in alive if ref() is not None))
+                return rows
+            return made
 
-        monkeypatch.setattr(search, "multiplicity_series", tracked)
+        for seam in ("_prefix_rows", "multiplicity_series"):
+            monkeypatch.setattr(search, seam, tracked(getattr(search, seam)))
         assert list(sweep_stream("heat-degenerate", q, q))[0][1]
         assert 2 <= most <= largest
 
