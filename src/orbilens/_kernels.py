@@ -21,7 +21,8 @@ counts are the 1-norm counts N(j) of L summed twice over j = m mod 2,
 and the multiplicities N summed once.  :func:`multiplicity_rows` counts
 a block of same-order pairs at padding 0 in one pass, one row per pair;
 time and memory are O(rows x kmax), independent of q.  A sweep
-fingerprints a bucket of classes as one such block.
+fingerprints a chunk of classes for their keys, and several whole
+buckets of classes for their comparisons, as one such block.
 
 :func:`multiplicities`, the entry for one space, takes two blocks as the
 one-row case of :func:`multiplicity_rows`.  Any other number of blocks

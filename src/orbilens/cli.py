@@ -84,21 +84,31 @@ def _pair_template() -> str:
     return line
 
 
+def _class_fragments(pairs: list[PairReport], encode) -> dict[int, str]:
+    """``encode(space)`` of each class in one order's pair reports, encoded once.
+
+    Keyed by the identity of the class object the reports share (the
+    list keeps every one alive).
+    """
+    fragments: dict[int, str] = {}
+    for p in pairs:
+        for space in (p.first, p.second):
+            if id(space) not in fragments:
+                fragments[id(space)] = encode(space)
+    return fragments
+
+
 def _pair_lines(q: int, pairs: list[PairReport]) -> Iterator[str]:
     """The json lines of one order's pair reports, as ``_jline(records.pair_record(p))``.
 
-    A class's space record is encoded once, keyed by the identity of the
-    class object the reports share (the list keeps every one alive), and
-    so is each distinct (first_differing_k, heat_verdict) verdict.
+    A class's space record is encoded once (:func:`_class_fragments`),
+    and so is each distinct (first_differing_k, heat_verdict) verdict.
     """
     fill = _pair_template().format
     order = _jline(q)
-    spaces: dict[int, str] = {}
+    spaces = _class_fragments(pairs, lambda space: _jline(records.lens_record(space)))
     verdicts: dict[tuple, tuple] = {}
     for p in pairs:
-        for space in (p.first, p.second):
-            if id(space) not in spaces:
-                spaces[id(space)] = _jline(records.lens_record(space))
         key = (p.first_differing_k, p.heat_verdict)
         if key not in verdicts:
             verdicts[key] = tuple(map(_jline, (p.isospectral, *key)))
@@ -278,18 +288,20 @@ def _cmd_sweep(args, out) -> None:
         if args.format == "json-lines":
             for line in _pair_lines(per_q.q, findings):
                 print(line, file=out)
-        elif args.format == "text":
+        elif args.format == "text" or not per_order:
+            # Each class's name is spelled once per order.
+            names = _class_fragments(findings, str)
             for pair in findings:
-                tag = pair.heat_verdict or ("ISOSPECTRAL" if pair.isospectral else "")
-                print(
-                    f"pair q={per_q.q} {pair.first} | {pair.second} "
-                    f"first_differing_k={pair.first_differing_k} {tag}".rstrip(),
-                    file=out,
-                )
-        elif not per_order:
-            for pair in findings:
-                row({**records.pair_record(pair), "first": str(pair.first),
-                     "second": str(pair.second)})
+                first, second = names[id(pair.first)], names[id(pair.second)]
+                if args.format == "csv":
+                    row({**records.pair_record(pair), "first": first, "second": second})
+                else:
+                    tag = pair.heat_verdict or ("ISOSPECTRAL" if pair.isospectral else "")
+                    print(
+                        f"pair q={per_q.q} {first} | {second} "
+                        f"first_differing_k={pair.first_differing_k} {tag}".rstrip(),
+                        file=out,
+                    )
         rec = records.per_q_record(per_q)
         if args.format == "text":
             print(" ".join(f"{c}={rec[c]}" for c in PER_Q_COLUMNS), file=out)
@@ -301,7 +313,7 @@ def _cmd_sweep(args, out) -> None:
         # The summary reads every total off the per-order rows; drop this
         # order's reports before the next order is computed.
         results.append((per_q, ()))
-        pair = findings = None
+        pair = findings = names = None
     summary = records.summary_record(
         summarize_sweep(args.mode, args.qmin, args.qmax, args.padding, results)
     )

@@ -31,6 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from .core import LensSpace, decompose_singular, is_isometric
 from .core import _check_pair_shape, _check_shape, _integer
 from .errors import PreconditionViolated, ShapeMismatch
@@ -193,16 +195,31 @@ def same_heat_expansion(first: LensSpace, second: LensSpace) -> HeatVerdict:
     return HeatVerdict.UNKNOWN
 
 
-def _heat_key(space: LensSpace) -> Optional[tuple[int, tuple[int, int]]]:
-    """Matching key of the isotropy lemma: (g, sorted(alpha, beta)), or None.
+def _heat_key(space: LensSpace) -> Optional[int]:
+    """Matching key of the isotropy lemma for one space, or None where it does not apply.
 
-    None when the lemma does not apply: the rotationally degenerate case
-    p_1 = +-p_2 mod q and manifold quotients.  Two same-order spaces
-    with equal keys have equal heat expansions to all orders.
+    The one-row case of :func:`_heat_keys`, in Python integers, so any
+    order is keyed exactly.
     """
-    q = space.q
-    p1, p2 = space.rotations
-    if p1 % q == p2 % q or (p1 + p2) % q == 0 or space.is_manifold():
-        return None
-    dec = decompose_singular(space)
-    return dec.g, tuple(sorted((dec.alpha, dec.beta)))
+    p1, p2 = (np.array([p], dtype=object) for p in space.rotations)
+    key = _heat_keys(space.q, p1, p2)[0]
+    return None if key < 0 else key
+
+
+def _heat_keys(q: int, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
+    """Matching keys of the isotropy lemma for the rows (p1, p2) of one order q.
+
+    The lemma's key (g, sorted(alpha, beta)) of a space (see
+    :func:`orbilens.core.decompose_singular`) fixes the pair
+    {g alpha, g beta} = {q/q1, q/q2} and is fixed by it, so at one order
+    it is the pair {q1, q2} = {gcd(p1, q), gcd(p2, q)}, here encoded as
+    min * q + max.  Two same-order spaces with equal keys have equal
+    heat expansions to all orders.  The lemma does not apply to the
+    rotationally degenerate case p_1 = +-p_2 mod q nor to manifold
+    quotients; such a row r gets the key -1 - r, which no other row has.
+    Rotations are residues in [1, q - 1], as in a reduced descriptor.
+    """
+    q1, q2 = np.gcd(p1, q), np.gcd(p2, q)
+    low, high = np.minimum(q1, q2), np.maximum(q1, q2)
+    applies = (p1 != p2) & (p1 + p2 != q) & (high > 1)
+    return np.where(applies, low * q + high, -1 - np.arange(len(p1)))

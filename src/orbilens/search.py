@@ -1,23 +1,26 @@
 """Exhaustive desk-scale sweeps over lens-space quotients.
 
-Enumerates one canonical representative per isometry class for each
-group order, then buckets the order's classes by the sweep mode's keys
-(:data:`SWEEP_MODES`): the hash of a spectral prefix for the rigidity
-sweep, the heat matching key for the degeneracy sweep.  Every
-fingerprint is prefix-first: an order's classes are counted as blocks of
-padding-0 multiplicity rows through the prefix depth q/2 + 2
-(:func:`_prefix_depth`), which separates every pair of distinct classes
-measured so far, in both paddings.  The rigidity keys are hashes of
-those rows, counted a chunk of classes at a time.  The members of one
-bucket at a time are counted as one block and compared; only a pair
-that agrees through the prefix is deepened to the certifying depth of
+Each group order's isometry classes come as two sorted int64 columns
+(p1, p2) of canonical rotations, read off their unit normal form
+(:func:`_class_columns`) in O(q) memory.  The sweep mode's keys
+(:data:`SWEEP_MODES`) are computed from the columns: the hash of a
+spectral prefix for the rigidity sweep, the heat matching key for the
+degeneracy sweep.  Every fingerprint is prefix-first: classes are
+counted as blocks of padding-0 multiplicity rows through the prefix
+depth q/2 + 2 (:func:`_prefix_depth`), which separates every pair of
+distinct classes measured so far, in both paddings.  The rigidity keys
+are hashes of those rows, counted a chunk of classes at a time.  Whole
+buckets are counted together in blocks of at most as many rows as the
+largest bucket, and bucket-mates are compared there; only a pair that
+agrees through the prefix is deepened to the certifying depth of
 :func:`orbilens.spectrum.is_isospectral` and compared there, so every
 verdict and first differing degree is exact.  A pair with equal spectra
 is a rigidity finding (an isospectral pair; none are expected), and a
 pair whose spectra differ is a heat-degenerate finding.  All
 C(classes, 2) pairs are decided, but only bucket-mates are compared, so
-an order holds its classes, one key per class and the prefix rows of
-one bucket.
+an order holds its class columns, one key per class and the prefix rows
+of one block.  A :class:`~orbilens.core.LensSpace` is built only for a
+class in a finding, one object per class.
 Orders are independent work units, swept one at a time in ascending
 order.  Each yields a :class:`PerQ` row, and those rows are the one
 source of every sweep total: :func:`summarize_sweep` only collects the
@@ -33,15 +36,16 @@ counterexamples.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from math import comb
-from typing import Hashable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from ._kernels import multiplicity_rows
-from .core import LensSpace, _folded_orbit, _integer, _order, sphere, units
+from .core import MAX_UNIT_ORDER, LensSpace, _integer, _order
 from .errors import PreconditionViolated
-from .heat import HeatVerdict, _heat_key
+from .heat import HeatVerdict, _heat_keys
 from .spectrum import isospectral_bound, multiplicity_series
 
 __all__ = [
@@ -61,20 +65,25 @@ __all__ = [
 # separately from the rigidity count.
 SMALL_Q_LIMIT = 8
 
-# Largest order a sweep accepts.  An order holds its classes, one key per
-# class, the prefix rows of one bucket and its findings.  The
-# (q/2 + 1)^2 table of isometry_classes sets the peak of both modes:
-# about 70 MB RSS for rigidity at this cap, and 75 MB for the
-# heat-degenerate order q = 3990, whose largest bucket of 432 classes
-# takes 6.6 MiB of prefix rows (q/2 + 3 wide) while its 22 MiB of
-# findings are held.
+# Largest order a sweep accepts.  An order holds its class columns, one
+# key per class, the prefix rows of one block of buckets and its
+# findings, all O(q) but the findings.  A rigidity order at this cap
+# peaks at 30 MB RSS, about the interpreter and numpy alone; the
+# heat-degenerate order q = 3990 at 72 MB, whose largest bucket of 432
+# classes takes 6.6 MiB of prefix rows (q/2 + 3 wide) while its 22 MiB
+# of findings are held.
 MAX_SWEEP_ORDER = 4096
 
 # Cells of the block of prefix rows counted at once for rigidity keys
 # (128 KiB).  Blocks of 2^13 to 2^16 cells counted the keys of an order
-# equally fast at q = 400, 1024, 2048 and 4004; a block this small keeps
-# a rigidity order's peak that of its enumeration.
+# equally fast at q = 400, 1024, 2048 and 4004.  With this block a
+# rigidity order's traced peak stays below 1 MiB at q = 720, 1024, 2048,
+# 4004 and 4096.
 KEY_CHUNK_CELLS = 1 << 14
+
+# Cells of prefix rows compared at once in a block of buckets (256 KiB of
+# int64 on each side of the pairs).
+PAIR_CHUNK_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -128,31 +137,68 @@ class SweepSummary:
 def isometry_classes(q: int, padding: int = 0) -> tuple[list[LensSpace], int]:
     """Canonical class representatives for one order, plus the raw space count.
 
-    Scans the sign-folded sorted pairs 1 <= a <= b <= q // 2 with
-    gcd(a, b, q) = 1 in ascending order.  The first pair not yet marked
-    is the smallest member of its orbit, hence the :func:`canonical_form`
-    representative; it is emitted and its whole orbit under the units
-    is marked in one vectorised step, so the cost is classes x units.
+    The representatives are the rows of :func:`_class_columns`, in its
+    ascending order, each the :func:`canonical_form` of its class.
     """
     q = _order(q)
+    if q > MAX_UNIT_ORDER:
+        raise PreconditionViolated(f"order {q} exceeds the unit-orbit limit of {MAX_UNIT_ORDER}")
+    p1, p2, spaces = _class_columns(q)
+    return [LensSpace(q, rots, padding) for rots in zip(p1.tolist(), p2.tolist())], spaces
+
+
+def _class_columns(q: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Canonical rotations (p1, p2) of every class of order q, and the raw space count.
+
+    The classes come as two int64 columns sorted by (p1, p2).  A class's
+    canonical form is its least sorted row of folded residues
+    fold(x) = min(x, q - x).  With a = gcd(p1, q) and b = gcd(p2, q),
+    which are coprime and the same for every member, its least entry is
+    min(a, b): the rotation of that gcd scales to it.
+
+    - A class with a unit rotation scales it to 1, so it is (1, x) with
+      x <= q/2.  The only other rows that start with 1 come from x^-1
+      when x is a unit, so (1, x) is canonical iff x <= fold(x^-1).
+    - Otherwise 1 < a < b, and the units that keep a up to sign are
+      those u = +-1 mod q/a.  On y = b z they act through z mod m = q/b
+      as the units of Z_m that are +-1 mod n = m/a, whose orbits are the
+      units z of Z_m with equal fold(z mod n).  The canonical y is b
+      times the least z of each such label.
+    """
     if q == 1:
-        return [sphere(2, padding)], 1
-    h = q // 2
-    a, b = np.ogrid[: h + 1, : h + 1]
-    todo = (0 < a) & (a <= b) & (np.gcd(np.gcd(a, q), b) == 1)
-    flat = todo.ravel()
-    ls = np.asarray(units(q), dtype=np.int64)
-    classes = []
-    at = 0
-    while True:
-        at += int(flat[at:].argmax())
-        if not flat[at]:
-            break
-        p1, p2 = divmod(at, h + 1)
-        classes.append(LensSpace(q, (p1, p2), padding))
-        x, y = _folded_orbit(classes[-1], ls)
-        todo[np.minimum(x, y), np.maximum(x, y)] = False
-    return classes, _reduced_pair_count(q, len(ls))
+        zero = np.zeros(1, np.int64)
+        return zero, zero, 1
+    x = np.arange(1, q, dtype=np.int64)
+    is_unit = np.gcd(x, q) == 1
+    half, half_unit = x[: q // 2], is_unit[: q // 2]
+    u = half[half_unit]
+    inv = np.array([pow(v, -1, q) for v in u.tolist()], np.int64)
+    keep = ~half_unit
+    keep[u - 1] = u <= np.minimum(inv, q - inv)
+    firsts, seconds = [np.ones(int(keep.sum()), np.int64)], [half[keep]]
+    divisors = x[1:][q % x[1:] == 0]
+    at, bt = np.nonzero((divisors[:, None] < divisors) & (np.gcd.outer(divisors, divisors) == 1))
+    if at.size:
+        a, b = divisors[at], divisors[bt]
+        m = q // b
+        n = m // a
+        # z = 1 .. m/2 for each (a, b); every label's least z is at most m/2.
+        length = m // 2
+        row = np.repeat(np.arange(len(a)), length)
+        z = np.arange(len(row)) - np.repeat(np.cumsum(length) - length, length) + 1
+        coprime = np.gcd(z, m[row]) == 1
+        row, z = row[coprime], z[coprime]
+        r = z % n[row]
+        labels = n // 2 + 1
+        label = np.minimum(r, n[row] - r) + (np.cumsum(labels) - labels)[row]
+        least = np.full(int(labels.sum()), q, np.int64)
+        np.minimum.at(least, label, z)
+        pick = least[label] == z
+        firsts.append(a[row[pick]])
+        seconds.append(b[row[pick]] * z[pick])
+    p1, p2 = np.concatenate(firsts), np.concatenate(seconds)
+    order = np.lexsort((p2, p1))
+    return p1[order], p2[order], _reduced_pair_count(q, int(is_unit.sum()))
 
 
 def _reduced_pair_count(q: int, phi: int) -> int:
@@ -182,96 +228,139 @@ def _check_range(qmin: int, qmax: int, padding: int) -> None:
 
 
 def _sweep_order(q: int, padding: int, mode: str) -> tuple[PerQ, list[PairReport]]:
-    # Classes are bucketed by the mode's keys; a class without a key is
-    # never paired, and an order of one class takes no keys.  Only
-    # bucket-mates are compared, exactly, so a key collision cannot make
-    # a finding.  Findings are sorted by class
-    # index pair.  Heat findings share a matching key, so their heat
+    # Classes are bucketed by the mode's keys, and only bucket-mates are
+    # compared, exactly, so a key collision cannot make a finding.  An
+    # order of one class takes no keys.  A LensSpace is built only for a
+    # class in a finding, one object that every report of the class
+    # shares.  Heat findings share a matching key, so their heat
     # expansions are equal by the isotropy lemma.
     keys, isospectral = SWEEP_MODES[mode]
-    classes, spaces = isometry_classes(q, padding)
-    buckets: dict[Hashable, list[int]] = {}
-    if len(classes) > 1:
-        for i, key in enumerate(keys(classes)):
-            buckets.setdefault(key, []).append(i)
-    buckets.pop(None, None)
-    pairs = sorted(pair for members in buckets.values() if len(members) > 1
-                   for pair in _bucket_findings(classes, members, isospectral))
+    p1, p2, spaces = _class_columns(q)
+    count = len(p1)
+    first, second, k = _findings(q, p1, p2, padding, keys(q, p1, p2), isospectral) \
+        if count > 1 else (np.zeros(0, np.int64),) * 3
+    used = np.zeros(count, bool)
+    used[first] = used[second] = True
+    shared = np.empty(count, object)
+    rotations = zip(p1[used].tolist(), p2[used].tolist())
+    shared[used] = [LensSpace(q, rots, padding) for rots in rotations]
     verdict = None if isospectral else HeatVerdict.GUARANTEED_EQUAL.value
-    findings = [PairReport(classes[i], classes[j], k, verdict) for i, j, k in pairs]
-    return PerQ(q, spaces, len(classes), comb(len(classes), 2), len(findings)), findings
+    ks = [None] * len(k) if isospectral else k.tolist()
+    findings = list(map(PairReport, shared[first], shared[second], ks, repeat(verdict)))
+    return PerQ(q, spaces, count, comb(count, 2), len(findings)), findings
 
 
-def _prefix_depth(space: LensSpace) -> int:
+def _prefix_depth(q: int) -> int:
     """Degree through which an order's classes are fingerprinted for keys and buckets.
 
     Every pair of distinct classes of an order up to 256 first differs
     by degree q/2 + 1, and at even q some pair differs no earlier (see
     :func:`isospectral_bound`).  A pair that agrees through this depth
-    is deepened to the certifying bound, so the depth sets speed only.
+    is deepened to the certifying bound 4q + 2, so the depth sets speed
+    only.
     """
-    return min(isospectral_bound(space), space.q // 2 + 2)
+    return q // 2 + 2
 
 
-def _prefix_rows(classes: list[LensSpace], depth: int) -> np.ndarray:
-    """Padding-0 multiplicities through ``depth`` of same-order classes, one row each.
+def _prefix_rows(q: int, p1: np.ndarray, p2: np.ndarray, depth: int) -> np.ndarray:
+    """Padding-0 multiplicities through ``depth`` of the classes (p1, p2) of order q, one row each.
 
     A padded coordinate is an invertible prefix sum, so two classes'
     padding-0 rows agree through a degree exactly when their rows at
     any padding do, and first differ at the same degree.
     """
-    return multiplicity_rows([c.rotations for c in classes], classes[0].q, depth)
+    return multiplicity_rows(zip(p1.tolist(), p2.tolist()), q, depth)
 
 
-def _bucket_findings(classes: list[LensSpace], members: list[int], isospectral: bool):
-    """Index pairs (i, j, first_differing_k) of one bucket that are findings.
+def _findings(q, p1, p2, padding, keys, isospectral):
+    """Columns (i, j, first_differing_k) of the bucket-mate pairs that are findings.
 
-    The members are fingerprinted through the prefix depth into one
-    matrix, one row per member, and each row is compared with every
-    later row in one step.  A pair that differs there differs first
-    where its rows do.  Only a pair that agrees through the prefix is
-    deepened: both spectra through the certifying depth of
-    is_isospectral, each computed once per bucket.
+    A bucket is a run of equal keys, its members in class order.  Whole
+    buckets are counted together in blocks of at most as many rows as
+    the largest bucket, so small buckets share one count and an order
+    holds no more rows than its largest bucket.  The columns are sorted
+    by class index pair.
     """
-    rows = _prefix_rows([classes[i] for i in members], _prefix_depth(classes[members[0]]))
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    edges = np.flatnonzero(ranked[1:] != ranked[:-1]) + 1
+    sizes = np.diff(np.concatenate(([0], edges, [len(keys)])))
+    order, sizes = order[np.repeat(sizes > 1, sizes)], sizes[sizes > 1].tolist()
+    largest = max(sizes, default=0)
+    parts, block, start = [], [], 0
+    for size in [*sizes, largest]:
+        # The last entry only closes the last block.
+        if sum(block) + size > largest:
+            members = order[start : start + sum(block)]
+            parts.append(_block_findings(q, p1, p2, padding, members, block, isospectral))
+            start, block = start + len(members), []
+        block.append(size)
+    if not parts:
+        return (np.zeros(0, np.int64),) * 3
+    first, second, k = map(np.concatenate, zip(*parts))
+    by_pair = np.lexsort((second, first))
+    return first[by_pair], second[by_pair], k[by_pair]
+
+
+def _block_findings(q, p1, p2, padding, members, sizes, isospectral):
+    """Columns (i, j, k) of the findings among one block's buckets.
+
+    ``members`` holds the block's classes, bucket after bucket of the
+    given sizes.  Their prefix rows are counted as one block, and
+    every pair of bucket-mates is compared there, a chunk of pairs at a
+    time: a pair that differs there first differs where its rows do.
+    Only a pair that agrees through the prefix is deepened: both spectra
+    through the certifying depth of is_isospectral, each computed once
+    per block.  The k of an isospectral pair is -1.
+    """
+    rows = _prefix_rows(q, p1[members], p2[members], _prefix_depth(q))
+    # Row r is paired with the later rows of its bucket.
+    later = np.repeat(np.cumsum(sizes), sizes) - np.arange(len(members)) - 1
+    a = np.repeat(np.arange(len(members)), later)
+    b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(later) - later, later)
+    k = np.empty(len(a), np.int64)
+    step = max(1, PAIR_CHUNK_CELLS // rows.shape[1])
+    for lo in range(0, len(a), step):
+        differ = rows[a[lo : lo + step]] != rows[b[lo : lo + step]]
+        first = differ.argmax(axis=1)
+        k[lo : lo + step] = np.where(differ[np.arange(len(first)), first], first, -1)
+    i, j = members[a], members[b]
     deep: dict[int, np.ndarray] = {}
-    for r, i in enumerate(members[:-1]):
-        differ = rows[r + 1 :] != rows[r]
-        found = differ.any(axis=1)
-        if not isospectral:
-            first = differ.argmax(axis=1)
-            for s in np.flatnonzero(found):
-                yield i, members[r + 1 + s], int(first[s])
-        for s in np.flatnonzero(~found):
-            j = members[r + 1 + s]
-            for m in (i, j):
-                if m not in deep:
-                    deep[m] = multiplicity_series(classes[m], isospectral_bound(classes[m]))
-            k = np.flatnonzero(deep[i] != deep[j])
-            if (k.size == 0) == isospectral:
-                yield i, j, int(k[0]) if k.size else None
+    for r in np.flatnonzero(k < 0).tolist():
+        pair = int(i[r]), int(j[r])
+        for c in pair:
+            if c not in deep:
+                space = LensSpace(q, (int(p1[c]), int(p2[c])), padding)
+                deep[c] = multiplicity_series(space, isospectral_bound(space))
+        differ = np.flatnonzero(deep[pair[0]] != deep[pair[1]])
+        k[r] = differ[0] if differ.size else -1
+    hit = k < 0 if isospectral else k >= 0
+    return i[hit], j[hit], k[hit]
 
 
-def _prefix_keys(classes: list[LensSpace]):
+def _prefix_keys(q: int, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
     """Rigidity keys: the hash of each class's padding-0 prefix row.
 
     Classes are counted a block of KEY_CHUNK_CELLS at a time, so an
-    order holds one block's rows and a fixed-size key per class.
+    order holds one block's rows and one int64 key per class.
     """
-    depth = _prefix_depth(classes[0])
+    depth = _prefix_depth(q)
     chunk = max(1, KEY_CHUNK_CELLS // (depth + 1))
-    for lo in range(0, len(classes), chunk):
-        for row in _prefix_rows(classes[lo : lo + chunk], depth):
-            yield hash(row.tobytes())
+    keys = np.empty(len(p1), np.int64)
+    for lo in range(0, len(p1), chunk):
+        rows = _prefix_rows(q, p1[lo : lo + chunk], p2[lo : lo + chunk], depth)
+        keys[lo : lo + chunk] = [hash(row.tobytes()) for row in rows]
+    return keys
 
 
-# Each sweep mode's bucket keys, one per class of an order's class list,
-# and whether its findings are the isospectral pairs (rigidity) or the
-# pairs whose spectra differ (heat-degenerate).  The CLI offers the modes
-# as its --mode choices, in this order.
+# Each sweep mode's bucket keys, an int64 column with one key per class
+# of an order's columns (q, p1, p2), and whether its findings are the
+# isospectral pairs (rigidity) or the pairs whose spectra differ
+# (heat-degenerate).  The CLI offers the modes as its --mode choices, in
+# this order.
 SWEEP_MODES = {
     "rigidity": (_prefix_keys, True),
-    "heat-degenerate": (lambda classes: map(_heat_key, classes), False),
+    "heat-degenerate": (_heat_keys, False),
 }
 
 

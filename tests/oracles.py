@@ -152,6 +152,45 @@ def canonical_exhaustive(space: LensSpace) -> tuple[int, ...]:
     return min(tuple(sorted(v)) for v in orbit_vectors(space))
 
 
+def marking_classes(q: int) -> tuple[list[tuple[int, int]], list[int]]:
+    """Canonical two-block class representatives of order q, by marking orbits.
+
+    Scans the sign-folded sorted pairs 1 <= a <= b <= q // 2 with
+    gcd(a, b, q) = 1 in ascending order.  The first pair not yet marked
+    is the least member of its orbit, hence the canonical form; its
+    whole orbit under the units is marked at once.  Returns the
+    representatives in scan order and, for each, the number of rotation
+    pairs 1 <= p1 <= p2 < q in its class: a folded entry a stands for
+    a and q - a, one residue when a = q/2, and a pair (a, a) of two
+    residues for three sorted pairs.
+    """
+    if q == 1:
+        return [(0, 0)], [1]
+    h = q // 2
+    a, b = np.ogrid[: h + 1, : h + 1]
+    todo = (0 < a) & (a <= b) & (np.gcd(np.gcd(a, q), b) == 1)
+    residues = np.where(2 * np.arange(h + 1) == q, 1, 2)
+    pairs = np.where(a == b, residues[:, None] * (residues[:, None] + 1) // 2,
+                     residues[:, None] * residues[None, :]).ravel()
+    flat = todo.ravel()
+    ls = np.array([l for l in range(1, q) if math.gcd(l, q) == 1])
+    reps, sizes = [], []
+    at = 0
+    while True:
+        at += int(flat[at:].argmax())
+        if not flat[at]:
+            return reps, sizes
+        p1, p2 = divmod(at, h + 1)
+        x, y = ls * p1 % q, ls * p2 % q
+        x, y = np.minimum(x, q - x), np.minimum(y, q - y)
+        cells = np.minimum(x, y) * (h + 1) + np.maximum(x, y)
+        flat[cells] = False
+        reps.append((p1, p2))
+        # The units form an abelian group, so every cell of the orbit is
+        # reached by as many units as the representative's own cell.
+        sizes.append(int(pairs[cells].sum()) // int(np.count_nonzero(cells == at)))
+
+
 # ---------------------------------------------------------------------------
 # numeric limits and growth fits
 

@@ -556,6 +556,28 @@ class TestPairLines:
         assert lines == [cli._jline(records.pair_record(p)) for p in findings]
 
 
+    # Text and csv spell each class's name once per order; every pair row
+    # must still be the one that str(space) gives.
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_text_and_csv_pair_rows_name_classes_by_str(self, capsys, padding):
+        findings = find_heat_degenerate(8, 80, padding).findings
+        assert len(findings) > 1000
+        argv = ["sweep", "8", "80", "--mode", "heat-degenerate", "--padding", str(padding)]
+        _, out, _ = run_cli(capsys, *argv)
+        assert [line for line in out.splitlines() if line.startswith("pair ")] == [
+            f"pair q={p.first.q} {p.first} | {p.second} "
+            f"first_differing_k={p.first_differing_k} {p.heat_verdict}"
+            for p in findings
+        ]
+        _, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        expected = io.StringIO()
+        cli._csv(expected, cli.PAIR_COLUMNS, (
+            {**records.pair_record(p), "first": str(p.first), "second": str(p.second)}
+            for p in findings
+        ))
+        assert out == expected.getvalue()
+
+
 class TestRecordPrimitives:
     def test_fraction_roundtrip(self):
         for f in (Fraction(0), Fraction(-5, 3), Fraction(7), Fraction(1, 6240)):

@@ -13,7 +13,10 @@ the parser actions in ``PARSER_ACTIONS``, were recorded before the CLI
 was cut down to one argument helper and one csv projection.  The four
 ``sweep 1 9 ... --format json-lines`` digests, which pin the summary
 record over orders below 8 at both paddings, were recorded before the
-sweep totals moved from ``SweepSummary`` to the per-order rows.  Any change
+sweep totals moved from ``SweepSummary`` to the per-order rows.  The
+``sweep 200 215`` and ``sweep 2310 2310`` digests, orders with many pairs
+of coprime divisors of q, were recorded before classes were enumerated
+by their unit normal form.  Any change
 to verdicts, witnesses, ``first_differing_k``, ``pairs_checked``, heat
 coefficients, multiplicities or record formatting shows up here as a
 digest mismatch.
@@ -241,6 +244,14 @@ GOLDEN = {
     "sweep 1 9 --mode heat-degenerate --padding 1 --format json-lines": (
         "807deb8c5346592380f8f9e783f4d9bd4825bd1f43c107bfe6da9f18cc75234f",
         831,
+    ),
+    "sweep 200 215 --mode heat-degenerate --format json-lines": (
+        "c85dff0f3c0fdcf7a9b389dd1234599af98e32af99f8468359e02630bfedc9c5",
+        1921086,
+    ),
+    "sweep 2310 2310 --mode rigidity --padding 1 --format json-lines": (
+        "d8335bc083212b3cb40d852d6c26cdec731c1f34c3ed795b7a0666b3960f3ce9",
+        286,
     ),
 }
 

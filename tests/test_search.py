@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from orbilens import cli, records, search
-from orbilens.core import LensSpace, canonical_form, is_isometric, sphere
+from orbilens.core import MAX_UNIT_ORDER, LensSpace, canonical_form, is_isometric, sphere
 from orbilens.errors import PreconditionViolated
 from orbilens.heat import HeatVerdict, _heat_key, same_heat_expansion
 from orbilens.search import (
@@ -25,8 +26,14 @@ from orbilens.search import (
     sweep_stream,
     verify_rigidity,
 )
-from orbilens.spectrum import is_isospectral, spectrum_table
+from orbilens.spectrum import (
+    is_isospectral,
+    isospectral_bound,
+    multiplicity_series,
+    spectrum_table,
+)
 
+import oracles
 from conftest import all_reduced_pairs
 from test_golden import GOLDEN
 
@@ -80,6 +87,22 @@ class TestEnumerate:
             assert spaces == len(members)
             assert set(reps) == canonical
 
+    # The unit normal form against the marking enumerator it replaced, at
+    # every order to 400 and at orders with many coprime divisor pairs.
+    # The oracle's orbits partition the rotation pairs, so their sizes
+    # sum to the raw space count.
+    def test_normal_form_matches_the_marking_oracle(self):
+        sample = {210, 2310, 3990, 4004, 4096, *random.Random(20).sample(range(401, 4097), 2)}
+        for q in [*range(1, 401), *sorted(sample)]:
+            reps, sizes = oracles.marking_classes(q)
+            p1, p2, spaces = search._class_columns(q)
+            assert list(zip(p1.tolist(), p2.tolist())) == reps, q
+            assert sum(sizes) == spaces, q
+
+    def test_order_above_unit_limit_refused(self):
+        with pytest.raises(PreconditionViolated, match="unit-orbit limit"):
+            isometry_classes(MAX_UNIT_ORDER + 1)
+
     def test_q195_contains_famous_classes(self, q195_pair):
         classes = {c.rotations for c in isometry_classes(195)[0]}
         c1 = canonical_form(q195_pair[0]).rotations
@@ -110,14 +133,14 @@ class TestEnumerate:
         def refuse(*args):
             raise AssertionError("classes were enumerated")
 
-        monkeypatch.setattr(search, "isometry_classes", refuse)
+        monkeypatch.setattr(search, "_class_columns", refuse)
         top = MAX_SWEEP_ORDER + 1
         for mode in ("rigidity", "heat-degenerate"):
             with pytest.raises(PreconditionViolated, match=f"order {top} exceeds"):
                 next(sweep_stream(mode, 8, top))
 
     def test_order_at_cap_accepted(self, monkeypatch):
-        monkeypatch.setattr(search, "isometry_classes", lambda q, padding: ([sphere()], 1))
+        monkeypatch.setattr(search, "_class_columns", lambda q: (*columns([sphere()])[1:], 1))
         for mode in ("rigidity", "heat-degenerate"):
             per_q, _ = next(sweep_stream(mode, MAX_SWEEP_ORDER, MAX_SWEEP_ORDER))
             assert per_q == PerQ(MAX_SWEEP_ORDER, 1, 1, 0, 0)
@@ -171,11 +194,17 @@ class TestVerifyRigidity:
                 assert is_isospectral(member, rep).isospectral
 
 
+def columns(spaces):
+    """The order and the rotation columns (p1, p2) of same-order two-block spaces."""
+    p1, p2 = np.array([s.rotations for s in spaces], np.int64).T
+    return spaces[0].q, p1, p2
+
+
 def share_one_fingerprint(monkeypatch):
     """Give every class one prefix row and, when deepened, one spectrum."""
     shared = np.arange(5, dtype=np.int64)
     monkeypatch.setattr(
-        search, "_prefix_rows", lambda classes, depth: np.tile(shared, (len(classes), 1))
+        search, "_prefix_rows", lambda q, p1, p2, depth: np.tile(shared, (len(p1), 1))
     )
     monkeypatch.setattr(search, "multiplicity_series", lambda space, kmax: shared)
 
@@ -243,13 +272,13 @@ class TestHashedKey:
         blocks, deepened = [], []
         rows_of, series = search._prefix_rows, search.multiplicity_series
         monkeypatch.setattr(
-            search, "_prefix_rows", lambda *a: blocks.append(len(a[0])) or rows_of(*a)
+            search, "_prefix_rows", lambda *a: blocks.append(len(a[1])) or rows_of(*a)
         )
         monkeypatch.setattr(
             search, "multiplicity_series", lambda *a: deepened.append(a) or series(*a)
         )
         monkeypatch.setitem(
-            search.SWEEP_MODES, "rigidity", (lambda classes: [0] * len(classes), True)
+            search.SWEEP_MODES, "rigidity", (lambda q, p1, p2: np.zeros(len(p1), np.int64), True)
         )
         collided = list(sweep_stream("rigidity", 1, 60, padding))
         assert [row for row, _ in collided] == [row for row, _ in real]
@@ -270,7 +299,7 @@ def assert_bucket_findings_exact(mode, classes, findings):
     key, isospectral = search.SWEEP_MODES[mode]
     found = {(f.first, f.second): f.first_differing_k for f in findings}
     buckets = defaultdict(list)
-    for c, k in zip(classes, key(classes)):
+    for c, k in zip(classes, key(*columns(classes))):
         buckets[k].append(c)
     buckets.pop(None, None)
     mates = 0
@@ -301,10 +330,10 @@ class TestBucketMatrix:
     @pytest.mark.parametrize("mode", list(search.SWEEP_MODES))
     def test_one_bucket_of_isospectral_and_other_pairs(self, mode, padding, monkeypatch):
         spaces = [LensSpace(12, rots, padding) for rots in all_reduced_pairs(12)]
-        monkeypatch.setattr(search, "isometry_classes", lambda q, padding: (spaces, len(spaces)))
+        monkeypatch.setattr(search, "_class_columns", lambda q: (*columns(spaces)[1:], len(spaces)))
         _, isospectral = search.SWEEP_MODES[mode]
         monkeypatch.setitem(
-            search.SWEEP_MODES, mode, (lambda classes: [0] * len(classes), isospectral)
+            search.SWEEP_MODES, mode, (lambda q, p1, p2: np.zeros(len(p1), np.int64), isospectral)
         )
         [(per_q, findings)] = sweep_stream(mode, 12, 12, padding)
         assert assert_bucket_findings_exact(mode, spaces, findings) == comb(len(spaces), 2)
@@ -319,7 +348,7 @@ class TestPrefixDeepening:
     def test_every_order_to_48_against_is_isospectral(self, mode, padding, monkeypatch):
         deepened = []
         series = search.multiplicity_series
-        monkeypatch.setattr(search, "_prefix_depth", lambda space: 1)
+        monkeypatch.setattr(search, "_prefix_depth", lambda q: 1)
         monkeypatch.setattr(
             search, "multiplicity_series", lambda *a: deepened.append(a) or series(*a)
         )
@@ -339,9 +368,9 @@ class TestPrefixDeepening:
             pair = [LensSpace(q, (1, 1), padding), LensSpace(q, (1, q // 2), padding)]
             assert canonical_form(pair[1]) == pair[1]
             assert is_isospectral(*pair).first_differing_k == q // 2 + 1
-            first, second = keys(pair)
+            first, second = keys(*columns(pair))
             assert first != second
-        monkeypatch.setattr(search, "_prefix_depth", lambda space: space.q // 2)
+        monkeypatch.setattr(search, "_prefix_depth", lambda q: q // 2)
         deepened = []
         series = search.multiplicity_series
         monkeypatch.setattr(
@@ -349,11 +378,55 @@ class TestPrefixDeepening:
         )
         for q in range(8, 65, 2):
             pair = [LensSpace(q, (1, 1), padding), LensSpace(q, (1, q // 2), padding)]
-            first, second = keys(pair)
+            first, second = keys(*columns(pair))
             assert first == second
             [(per_q, findings)] = sweep_stream("rigidity", q, q, padding)
             assert findings == [] and per_q.findings == 0
             assert set(pair) <= set(deepened)
+
+
+# The separation depth D(q): the largest degree through which two distinct
+# classes of order q agree, plus one, that is their first differing degree.
+# Pinned at odd q; at every even q >= 4 it is q/2 + 1 (isospectral_bound).
+ODD_SEPARATION_DEPTHS = {
+    5: 2, 7: 2, 9: 4, 11: 3, 13: 4, 15: 7, 17: 5, 19: 6, 21: 8, 23: 7, 25: 8, 27: 10,
+    29: 8, 31: 10, 33: 13, 35: 13, 37: 10, 39: 14, 41: 11, 43: 12, 45: 16, 47: 13,
+    49: 13, 51: 19, 53: 14, 55: 15, 57: 20, 59: 16, 61: 16, 63: 22, 65: 17, 67: 18,
+    69: 25, 71: 19, 73: 19, 75: 26, 77: 20, 79: 21, 81: 28, 83: 22, 85: 23, 87: 31,
+    89: 23, 91: 24, 93: 32, 95: 25, 97: 25, 99: 34, 101: 26, 103: 27, 105: 37, 107: 28,
+    109: 28, 111: 38, 113: 29, 115: 30, 117: 40, 119: 31, 121: 31, 123: 43, 125: 32,
+    127: 33,
+}
+
+
+@pytest.mark.parametrize("padding", [0, 1])
+def test_separation_depth_to_128(padding):
+    # In lexicographic order the deepest pair of prefix rows is a pair of
+    # neighbours, so D(q) is the longest common prefix of neighbours.
+    # Padding 0 reads the sweep's own prefix rows, padding 1 each class's
+    # multiplicity_series; the deepest pair is confirmed at the
+    # certifying depth.
+    depths = {}
+    for q in range(4, 129):
+        p1, p2, _ = search._class_columns(q)
+        classes = [LensSpace(q, rots, padding) for rots in zip(p1.tolist(), p2.tolist())]
+        depth = search._prefix_depth(q)
+        if padding:
+            rows = np.array([multiplicity_series(c, depth) for c in classes])
+        else:
+            rows = search._prefix_rows(q, p1, p2, depth)
+        order = np.lexsort(rows.T[::-1])
+        differ = rows[order[1:]] != rows[order[:-1]]
+        assert differ.any(axis=1).all(), q
+        first = differ.argmax(axis=1)
+        r = int(first.argmax())
+        a, b = (classes[order[r + s]] for s in (0, 1))
+        exact = multiplicity_series(a, isospectral_bound(a)) != multiplicity_series(
+            b, isospectral_bound(b))
+        assert int(np.flatnonzero(exact)[0]) == first[r] <= q // 2 + 1, q
+        depths[q] = int(first[r])
+    assert {q: d for q, d in depths.items() if q % 2} == ODD_SEPARATION_DEPTHS
+    assert all(d == q // 2 + 1 for q, d in depths.items() if q % 2 == 0)
 
 
 def traced_peak(run):
@@ -366,11 +439,21 @@ def traced_peak(run):
 
 
 class TestSweepMemory:
-    @pytest.mark.parametrize("q", [720, 1024])
+    # A rigidity order holds its class columns, one int64 key per class,
+    # and the prefix rows of one key chunk with their counting scratch.
+    # Its traced peak stays within 16 chunks of int64 cells (2 MiB) at
+    # any order; one prefix row per class is 32 MB at q = 4004 (2027
+    # classes, 2005 degrees).
+    PEAK = 16 * 8 * search.KEY_CHUNK_CELLS
+
+    @pytest.mark.parametrize("q", [720, 1024, 4004])
     def test_rigidity_order_holds_no_fingerprint_per_class(self, q):
-        enumeration = traced_peak(lambda: isometry_classes(q))
-        sweep = traced_peak(lambda: list(sweep_stream("rigidity", q, q)))
-        assert sweep < 2 * enumeration
+        assert traced_peak(lambda: list(sweep_stream("rigidity", q, q))) < self.PEAK
+
+    def test_peak_bound_fails_an_order_that_keeps_every_row(self, monkeypatch):
+        # One key chunk as large as the order: every class's row at once.
+        monkeypatch.setattr(search, "KEY_CHUNK_CELLS", 1 << 40)
+        assert traced_peak(lambda: list(sweep_stream("rigidity", 4004, 4004))) > self.PEAK
 
     @pytest.mark.parametrize("q,largest", [(195, 24), (360, 24), (720, 48)])
     def test_heat_order_holds_one_bucket_of_fingerprints(self, q, largest, monkeypatch):
@@ -394,9 +477,11 @@ class TestSweepMemory:
         assert list(sweep_stream("heat-degenerate", q, q))[0][1]
         assert 2 <= most <= largest
 
-    # The order holds its bucket's fingerprint matrix, int64, and the
-    # bool temporary of one row's comparison with the rest: 9 bytes per
-    # cell of the largest bucket's (4q + 3)-wide rows.
+    # The order holds one block of prefix rows, int64 and at most the
+    # largest bucket's (q/2 + 3 wide), and one chunk of pair comparisons
+    # (PAIR_CHUNK_CELLS cells of each side and their bool difference).
+    # At these orders both fit within 9 bytes per cell of the largest
+    # bucket's (4q + 3)-wide rows.
     @pytest.mark.parametrize("q", [720, 1024])
     def test_heat_order_peak_within_one_bucket_matrix(self, q):
         buckets = Counter(_heat_key(c) for c in isometry_classes(q)[0])
