@@ -104,22 +104,16 @@ def invariant_series(weights, q: int, mmax: int) -> np.ndarray:
 def times_one_minus_zd(a: np.ndarray, d: int, power: int) -> np.ndarray:
     """Power series ``a * (1 - z^d)^power`` to len(a) terms, in a's dtype.
 
-    Laid out as rows of d degrees, multiplying by (1 - z^d) is a
-    difference down the rows and dividing by it a prefix sum down the
-    rows; each step runs in place on one padded copy.  Object arrays
-    stay exact in Python integers.
+    Multiplying by (1 - z^d) is a difference at lag d and dividing by it
+    a prefix sum at lag d (:func:`_lag_prefix_sum`); each step runs in
+    place on one copy.  Object arrays stay exact in Python integers.
     """
-    n = len(a)
-    if d >= n:
-        return a.copy()
-    flat = np.zeros(-(-n // d) * d, a.dtype)
-    flat[:n] = a
-    rows = flat.reshape(-1, d)
+    out = a.copy()
     for _ in range(power):
-        rows[1:] -= rows[:-1]
+        out[d:] -= out[:-d]
     for _ in range(-power):
-        np.add.accumulate(rows, axis=0, out=rows)
-    return flat[:n]
+        _lag_prefix_sum(out[None], d)
+    return out
 
 
 # Start points counted in one pass of multiplicity_rows, in int64 cells

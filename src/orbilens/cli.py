@@ -35,6 +35,7 @@ import shutil
 import sys
 import tempfile
 import time
+from itertools import starmap
 from operator import itemgetter
 from typing import Iterator, Optional
 
@@ -43,7 +44,7 @@ from ._version import __version__
 from .core import LensSpace, is_isometric, reduce as reduce_space, sphere
 from .errors import InternalInvariant, OrbilensError, PreconditionViolated
 from .heat import heat_expansion_3d
-from .search import SWEEP_MODES, PairReport, summarize_sweep, sweep_stream
+from .search import SWEEP_MODES, Findings, PairReport, PerQ, summarize_sweep, sweep_stream
 from .spectrum import is_isospectral, spectrum_table
 
 EXIT_OK = 0
@@ -64,7 +65,7 @@ PAIR_COLUMNS = ("q", "first", "second", "first_differing_k", "heat_verdict")
 _jline = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 # The pair record's fields that vary from pair to pair, in the order
-# _pair_lines fills them in.
+# _pair_rows fills them in.
 PAIR_FIELDS = ("q", "first", "second", "isospectral", "first_differing_k", "heat_verdict")
 
 
@@ -84,47 +85,42 @@ def _pair_template() -> str:
     return line
 
 
-def _class_fragments(pairs: list[PairReport], encode) -> dict[int, str]:
-    """``encode(space)`` of each class in one order's pair reports, encoded once.
+def _pair_rows(q: int, found: Findings, fmt: str) -> Iterator:
+    """One order's pair rows in ``fmt``, read off its finding columns.
 
-    Keyed by the identity of the class object the reports share (the
-    list keeps every one alive).
+    Each class's fragment is built once: its json space record, or
+    ``str(space)`` for text and csv.  A json line is
+    ``_jline(records.pair_record(p))`` of the finding's report ``p``, and
+    a csv row that record's ``PAIR_COLUMNS`` with the classes named by
+    ``str``.  A rigidity finding is isospectral (k = -1), and a heat
+    finding carries its verdict.
     """
-    fragments: dict[int, str] = {}
-    for p in pairs:
-        for space in (p.first, p.second):
-            if id(space) not in fragments:
-                fragments[id(space)] = encode(space)
-    return fragments
-
-
-def _pair_lines(q: int, pairs: list[PairReport]) -> Iterator[str]:
-    """The json lines of one order's pair reports, as ``_jline(records.pair_record(p))``.
-
-    A class's space record is encoded once (:func:`_class_fragments`),
-    and so is each distinct (first_differing_k, heat_verdict) verdict.
-    """
-    fill = _pair_template().format
-    order = _jline(q)
-    spaces = _class_fragments(pairs, lambda space: _jline(records.lens_record(space)))
-    verdicts: dict[tuple, tuple] = {}
-    for p in pairs:
-        key = (p.first_differing_k, p.heat_verdict)
-        if key not in verdicts:
-            verdicts[key] = tuple(map(_jline, (p.isospectral, *key)))
-        yield fill(order, spaces[id(p.first)], spaces[id(p.second)], *verdicts[key])
+    pairs = zip(found.i.tolist(), found.j.tolist(), found.k.tolist())
+    if fmt == "json-lines":
+        names = [_jline(records.lens_record(space)) for space in found.classes]
+        fill, verdict = _pair_template().format, _jline(found.heat_verdict)
+        return (
+            fill(q, names[i], names[j], *(("true", "null") if k < 0 else ("false", k)), verdict)
+            for i, j, k in pairs
+        )
+    names = list(map(str, found.classes))
+    if fmt == "csv":
+        return ((q, names[i], names[j], None if k < 0 else k, found.heat_verdict)
+                for i, j, k in pairs)
+    tag = found.heat_verdict or "ISOSPECTRAL"
+    return (f"pair q={q} {names[i]} | {names[j]} first_differing_k={None if k < 0 else k} {tag}"
+            for i, j, k in pairs)
 
 
 def _csv(out, columns, recs=()):
     """Write the csv header and ``recs`` projected onto ``columns``.
 
-    Returns the writer of one more record, for rows that stream.
+    Returns the csv writer, for rows that stream.
     """
-    project = itemgetter(*columns)
     w = csv.writer(out, lineterminator="\n")
     w.writerow(columns)
-    w.writerows(map(project, recs))
-    return lambda rec: w.writerow(project(rec))
+    w.writerows(map(itemgetter(*columns), recs))
+    return w
 
 
 def _command(sub, name: str, text: str, run, rotations: Optional[str] = "+", **ints):
@@ -282,38 +278,27 @@ def _cmd_sweep(args, out) -> None:
     # csv row per order; any other writes one per pair.
     _, per_order = SWEEP_MODES[args.mode]
     if args.format == "csv":
-        row = _csv(out, PER_Q_COLUMNS if per_order else PAIR_COLUMNS)
-    results = []
-    for per_q, findings in stream:
-        if args.format == "json-lines":
-            for line in _pair_lines(per_q.q, findings):
-                print(line, file=out)
-        elif args.format == "text" or not per_order:
-            # Each class's name is spelled once per order.
-            names = _class_fragments(findings, str)
-            for pair in findings:
-                first, second = names[id(pair.first)], names[id(pair.second)]
-                if args.format == "csv":
-                    row({**records.pair_record(pair), "first": first, "second": second})
-                else:
-                    tag = pair.heat_verdict or ("ISOSPECTRAL" if pair.isospectral else "")
-                    print(
-                        f"pair q={per_q.q} {first} | {second} "
-                        f"first_differing_k={pair.first_differing_k} {tag}".rstrip(),
-                        file=out,
-                    )
+        rows = _csv(out, PER_Q_COLUMNS if per_order else PAIR_COLUMNS)
+
+    def write(per_q: PerQ, found: Findings) -> tuple[PerQ, tuple]:
+        if args.format != "csv":
+            out.writelines(f"{line}\n" for line in _pair_rows(per_q.q, found, args.format))
+        elif not per_order:
+            rows.writerows(_pair_rows(per_q.q, found, args.format))
         rec = records.per_q_record(per_q)
         if args.format == "text":
             print(" ".join(f"{c}={rec[c]}" for c in PER_Q_COLUMNS), file=out)
         elif args.format == "json-lines":
             print(_jline(rec), file=out)
         elif per_order:
-            row(rec)
+            rows.writerow([rec[c] for c in PER_Q_COLUMNS])
         out.flush()
-        # The summary reads every total off the per-order rows; drop this
-        # order's reports before the next order is computed.
-        results.append((per_q, ()))
-        pair = findings = names = None
+        return per_q, ()
+
+    # The summary reads every total off the per-order rows.  starmap
+    # drops each order's findings, once written, before it reads the
+    # next order.
+    results = list(starmap(write, stream))
     summary = records.summary_record(
         summarize_sweep(args.mode, args.qmin, args.qmax, args.padding, results)
     )

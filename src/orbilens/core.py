@@ -117,10 +117,6 @@ class LensSpace:
     def ambient_dim(self) -> int:
         return 2 * self.n + self.padding - 1
 
-    def is_manifold(self) -> bool:
-        """True when the action is free (every rotation coprime to q)."""
-        return all(math.gcd(p, self.q) == 1 for p in self.rotations)
-
     def __str__(self) -> str:
         body = ",".join(str(p) for p in self.rotations) + ",0" * self.padding
         return f"L({self.q}:{body})"

@@ -19,14 +19,17 @@ is a rigidity finding (an isospectral pair; none are expected), and a
 pair whose spectra differ is a heat-degenerate finding.  All
 C(classes, 2) pairs are decided, but only bucket-mates are compared, so
 an order holds its class columns, one key per class and the prefix rows
-of one block.  A :class:`~orbilens.core.LensSpace` is built only for a
-class in a finding, one object per class.
+of one block.
 Orders are independent work units, swept one at a time in ascending
-order.  Each yields a :class:`PerQ` row, and those rows are the one
-source of every sweep total: :func:`summarize_sweep` only collects the
-rows and the pair reports, and :func:`orbilens.records.summary_record`
-reads the totals off the rows, so the CLI, which drops each order's
-reports once written, gets the same summary as the library.
+order.  Each yields a :class:`PerQ` row and its :class:`Findings`: int64
+columns (i, j, k) over the :class:`~orbilens.core.LensSpace` of each
+class in a finding, built once per class.  A :class:`PairReport` is
+built per finding only when the findings are iterated.  The rows are the
+one source of every sweep total: :func:`summarize_sweep` only collects
+the rows and the pair reports, and
+:func:`orbilens.records.summary_record` reads the totals off the rows,
+so the CLI, which writes each order's findings off the columns and
+then drops them, gets the same summary as the library.
 
 Orders below 8 sit outside the classical hypotheses of the rigidity
 statements and are flagged separately instead of being counted as
@@ -36,7 +39,6 @@ counterexamples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from math import comb
 from typing import Iterable, Iterator, Optional
 
@@ -49,6 +51,7 @@ from .heat import HeatVerdict, _heat_keys
 from .spectrum import isospectral_bound, multiplicity_series
 
 __all__ = [
+    "Findings",
     "PairReport",
     "PerQ",
     "SweepSummary",
@@ -69,9 +72,9 @@ SMALL_Q_LIMIT = 8
 # key per class, the prefix rows of one block of buckets and its
 # findings, all O(q) but the findings.  A rigidity order at this cap
 # peaks at 30 MB RSS, about the interpreter and numpy alone; the
-# heat-degenerate order q = 3990 at 72 MB, whose largest bucket of 432
-# classes takes 6.6 MiB of prefix rows (q/2 + 3 wide) while its 22 MiB
-# of findings are held.
+# heat-degenerate order q = 3990 at 61 MB, whose largest bucket of 432
+# classes takes 6.6 MiB of prefix rows (q/2 + 3 wide) while its 202 872
+# findings are held as three int64 columns (4.6 MiB).
 MAX_SWEEP_ORDER = 4096
 
 # Cells of the block of prefix rows counted at once for rigidity keys
@@ -104,6 +107,32 @@ class PairReport:
     @property
     def isospectral(self) -> bool:
         return self.first_differing_k is None
+
+
+@dataclass(frozen=True, eq=False)
+class Findings:
+    """One order's findings, as columns over the classes that appear in them.
+
+    ``classes`` holds each such class once, in class order.  Finding r
+    pairs ``classes[i[r]]`` with ``classes[j[r]]`` and first differs at
+    degree ``k[r]``, or -1 for an isospectral pair; ``heat_verdict`` is
+    the sweep mode's.  Iterating gives one :class:`PairReport` per
+    finding.
+    """
+
+    classes: tuple[LensSpace, ...]
+    i: np.ndarray
+    j: np.ndarray
+    k: np.ndarray
+    heat_verdict: Optional[str]
+
+    def __len__(self) -> int:
+        return len(self.k)
+
+    def __iter__(self) -> Iterator[PairReport]:
+        c = self.classes
+        for i, j, k in zip(self.i.tolist(), self.j.tolist(), self.k.tolist()):
+            yield PairReport(c[i], c[j], None if k < 0 else k, self.heat_verdict)
 
 
 @dataclass(frozen=True)
@@ -227,27 +256,24 @@ def _check_range(qmin: int, qmax: int, padding: int) -> None:
         )
 
 
-def _sweep_order(q: int, padding: int, mode: str) -> tuple[PerQ, list[PairReport]]:
+def _sweep_order(q: int, padding: int, mode: str) -> tuple[PerQ, Findings]:
     # Classes are bucketed by the mode's keys, and only bucket-mates are
     # compared, exactly, so a key collision cannot make a finding.  An
-    # order of one class takes no keys.  A LensSpace is built only for a
-    # class in a finding, one object that every report of the class
-    # shares.  Heat findings share a matching key, so their heat
-    # expansions are equal by the isotropy lemma.
+    # order of one class takes no keys.  Heat findings share a matching
+    # key, so their heat expansions are equal by the isotropy lemma.
     keys, isospectral = SWEEP_MODES[mode]
     p1, p2, spaces = _class_columns(q)
     count = len(p1)
-    first, second, k = _findings(q, p1, p2, padding, keys(q, p1, p2), isospectral) \
+    i, j, k = _findings(q, p1, p2, padding, keys(q, p1, p2), isospectral) \
         if count > 1 else (np.zeros(0, np.int64),) * 3
     used = np.zeros(count, bool)
-    used[first] = used[second] = True
-    shared = np.empty(count, object)
+    used[i] = used[j] = True
     rotations = zip(p1[used].tolist(), p2[used].tolist())
-    shared[used] = [LensSpace(q, rots, padding) for rots in rotations]
+    classes = tuple(LensSpace(q, rots, padding) for rots in rotations)
+    index = np.cumsum(used) - 1
     verdict = None if isospectral else HeatVerdict.GUARANTEED_EQUAL.value
-    ks = [None] * len(k) if isospectral else k.tolist()
-    findings = list(map(PairReport, shared[first], shared[second], ks, repeat(verdict)))
-    return PerQ(q, spaces, count, comb(count, 2), len(findings)), findings
+    findings = Findings(classes, index[i], index[j], k, verdict)
+    return PerQ(q, spaces, count, comb(count, 2), len(k)), findings
 
 
 def _prefix_depth(q: int) -> int:
@@ -366,10 +392,11 @@ SWEEP_MODES = {
 
 def sweep_stream(
     mode: str, qmin: int, qmax: int, padding: int = 0
-) -> Iterator[tuple[PerQ, list[PairReport]]]:
-    """Per-order results in ascending order, yielded one order at a time.
+) -> Iterator[tuple[PerQ, Findings]]:
+    """Each order's :class:`PerQ` row and :class:`Findings`, in ascending order.
 
-    The range, the padding and the mode are checked by the call itself,
+    Orders are computed one at a time, as the stream is read.  The
+    range, the padding and the mode are checked by the call itself,
     before any order is computed.
     """
     _check_range(qmin, qmax, padding)
@@ -383,7 +410,7 @@ def summarize_sweep(
     qmin: int,
     qmax: int,
     padding: int,
-    results: Iterable[tuple[PerQ, list[PairReport]]],
+    results: Iterable[tuple[PerQ, Iterable[PairReport]]],
 ) -> SweepSummary:
     """Collect per-order results (as from :func:`sweep_stream`).
 

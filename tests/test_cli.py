@@ -331,27 +331,55 @@ class TestSweepCommand:
             p.classes for p in summary.per_q
         ]
 
-    def test_each_orders_reports_dropped_before_the_next(self, capsys, monkeypatch):
+    @staticmethod
+    def leaked_findings(capsys, monkeypatch):
+        """Per order, how many earlier orders' Findings are reachable when the CLI asks for it."""
         alive, leaked, found = [], [], []
 
         def tracked(*args):
-            for per_q, reports in search.sweep_stream(*args):
-                # The CLI has asked for this order; count the last order's
-                # reports that are still reachable.
+            for per_q, findings in search.sweep_stream(*args):
+                # The CLI has asked for this order; check whether the last
+                # order's findings are still reachable.
                 gc.collect()
                 leaked.append(sum(ref() is not None for ref in alive))
-                alive[:] = [weakref.ref(r) for r in reports]
-                found.append(len(reports))
-                yield per_q, reports
+                alive[:] = [weakref.ref(findings)]
+                found.append(len(findings))
+                yield per_q, findings
 
         monkeypatch.setattr(cli, "sweep_stream", tracked)
         code, out, _ = run_cli(
             capsys, "sweep", "190", "200", "--mode", "heat-degenerate", "--format", "json-lines"
         )
         assert code == 0
-        assert leaked == [0] * 11
         assert sum(found) == json.loads(out.splitlines()[-1])["findings"]
         assert sum(n > 0 for n in found) >= 2
+        return leaked
+
+    def test_each_orders_reports_dropped_before_the_next(self, capsys, monkeypatch):
+        assert self.leaked_findings(capsys, monkeypatch) == [0] * 11
+
+    def test_leak_check_fails_a_cli_that_keeps_every_orders_findings(self, capsys, monkeypatch):
+        kept, rows = [], cli._pair_rows
+        monkeypatch.setattr(cli, "_pair_rows", lambda *a: kept.append(a[1]) or rows(*a))
+        assert self.leaked_findings(capsys, monkeypatch) == [0] + [1] * 10
+
+    @pytest.mark.parametrize("mode", list(search.SWEEP_MODES))
+    def test_sweep_builds_no_pair_report(self, capsys, monkeypatch, mode):
+        if mode == "rigidity":
+            # One shared fingerprint makes every pair a rigidity finding.
+            share_one_fingerprint(monkeypatch)
+        made, report = [], search.PairReport
+        monkeypatch.setattr(search, "PairReport", lambda *a: made.append(a) or report(*a))
+        outs = {}
+        for fmt in FORMATS:
+            argv = ["sweep", "8", "30", "--mode", mode, "--format", fmt]
+            code, outs[fmt], _ = run_cli(capsys, *argv)
+            assert code == 0
+        assert json.loads(outs["json-lines"].splitlines()[-1])["findings"] > 0
+        assert made == []
+        # The count sees the reports a library caller asks for.
+        summary = search._sweep(mode, 8, 30, 0)
+        assert len(made) == len(summary.findings) > 0
 
     def test_csv_heat_mode(self, capsys):
         code, out, _ = run_cli(
@@ -540,7 +568,7 @@ class TestPairLines:
     def test_heat_findings_match_the_record_encoding(self, padding):
         pairs = 0
         for per_q, findings in search.sweep_stream("heat-degenerate", 1, 80, padding):
-            lines = list(cli._pair_lines(per_q.q, findings))
+            lines = list(cli._pair_rows(per_q.q, findings, "json-lines"))
             assert lines == [cli._jline(records.pair_record(p)) for p in findings]
             pairs += len(lines)
         assert pairs > 1000
@@ -552,7 +580,7 @@ class TestPairLines:
             p.isospectral and p.first_differing_k is None and p.heat_verdict is None
             for p in findings
         )
-        lines = list(cli._pair_lines(per_q.q, findings))
+        lines = list(cli._pair_rows(per_q.q, findings, "json-lines"))
         assert lines == [cli._jline(records.pair_record(p)) for p in findings]
 
 

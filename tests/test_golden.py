@@ -16,7 +16,9 @@ record over orders below 8 at both paddings, were recorded before the
 sweep totals moved from ``SweepSummary`` to the per-order rows.  The
 ``sweep 200 215`` and ``sweep 2310 2310`` digests, orders with many pairs
 of coprime divisors of q, were recorded before classes were enumerated
-by their unit normal form.  Any change
+by their unit normal form, and the ``sweep 200 215 ... --padding 1``
+csv and text digests before the text and csv pair rows were read off
+the finding columns.  Any change
 to verdicts, witnesses, ``first_differing_k``, ``pairs_checked``, heat
 coefficients, multiplicities or record formatting shows up here as a
 digest mismatch.
@@ -252,6 +254,14 @@ GOLDEN = {
     "sweep 2310 2310 --mode rigidity --padding 1 --format json-lines": (
         "d8335bc083212b3cb40d852d6c26cdec731c1f34c3ed795b7a0666b3960f3ce9",
         286,
+    ),
+    "sweep 200 215 --mode heat-degenerate --padding 1 --format csv": (
+        "2108f06d951c1ff46a79080e9215d3787d78176f34c1de8233a3c8a82b8f2183",
+        448041,
+    ),
+    "sweep 200 215 --mode heat-degenerate --padding 1 --format text": (
+        "df025a952eb22adfd3acc98c660eef727258aa2cdc4e9c65f65ef19cfe6771ca",
+        638056,
     ),
 }
 

@@ -58,7 +58,7 @@ class TestEnumerate:
         assert isometry_classes(1, 1) == ([sphere(2, 1)], 1)
         for padding in (0, 1):
             [(per_q, findings)] = sweep_stream("rigidity", 1, 1, padding)
-            assert per_q == PerQ(1, 1, 1, 0, 0) and findings == []
+            assert per_q == PerQ(1, 1, 1, 0, 0) and list(findings) == []
 
     @pytest.mark.parametrize("q", [2, 5, 6, 7, 12, 16, 20])
     def test_class_count_matches_brute_partition(self, q):
@@ -282,7 +282,7 @@ class TestHashedKey:
         )
         collided = list(sweep_stream("rigidity", 1, 60, padding))
         assert [row for row, _ in collided] == [row for row, _ in real]
-        assert all(reports == [] for _, reports in real + collided)
+        assert all(list(reports) == [] for _, reports in real + collided)
         # Every class of an order with two or more shares the one bucket,
         # fingerprinted as one block, and the prefixes refuse every pair.
         assert blocks == [row.classes for row, _ in real if row.classes > 1]
@@ -381,7 +381,7 @@ class TestPrefixDeepening:
             first, second = keys(*columns(pair))
             assert first == second
             [(per_q, findings)] = sweep_stream("rigidity", q, q, padding)
-            assert findings == [] and per_q.findings == 0
+            assert list(findings) == [] and per_q.findings == 0
             assert set(pair) <= set(deepened)
 
 
