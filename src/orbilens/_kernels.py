@@ -19,10 +19,12 @@ and the tuples of degree m over a point of 1-norm j number
 (m - j)/2 + 1 when m - j is even and non-negative.  So the invariant
 counts are the 1-norm counts N(j) of L summed twice over j = m mod 2,
 and the multiplicities N summed once.  :func:`multiplicity_rows` counts
-a block of same-order pairs at padding 0 in one pass, one row per pair;
-time and memory are O(rows x kmax), independent of q.  A sweep
-fingerprints a chunk of classes for their keys, and several whole
-buckets of classes for their comparisons, as one such block.
+a block of same-order pairs at padding 0, one row per pair, a slice of
+rows per pass (:func:`rows_per_slice`); time and memory are
+O(rows x kmax), independent of q.  A sweep fingerprints a slice of classes for their
+keys, and several whole buckets of classes for their comparisons, as one
+such block.  CHUNK_CELLS is the sweep's one memory budget: no grid of a
+pass, key slice or chunk of pair comparisons holds more int64 cells.
 
 :func:`multiplicities`, the entry for one space, takes two blocks as the
 one-row case of :func:`multiplicity_rows`.  Any other number of blocks
@@ -116,12 +118,17 @@ def times_one_minus_zd(a: np.ndarray, d: int, power: int) -> np.ndarray:
     return out
 
 
-# Start points counted in one pass of multiplicity_rows, in int64 cells
-# of its (rows, 2, degrees) grid (1 MiB), so a bucket of long rows is
-# counted a slice of rows at a time.  The largest heat bucket at
-# q = 3990 (432 rows) counted as fast in slices of 2^15 to 2^19 cells,
-# and slower in larger ones.
-ROW_CHUNK_CELLS = 1 << 17
+# The sweep's one memory budget, in int64 cells (256 KiB): no counting
+# grid of multiplicity_rows, slice of rigidity key rows or chunk of
+# bucket-mate comparisons (orbilens.search) holds more at once.  The
+# largest heat bucket at q = 3990 (432 rows) counted as fast in grid
+# slices of 2^15 to 2^19 cells, and slower in larger ones.  Key slices
+# of 2^13 to 2^16 cells counted an order's keys equally fast at q = 400,
+# 1024, 2048 and 4004.  With one grid per key slice, a rigidity order's
+# traced peak stays below 1 MiB at q = 720, 1024, 2048, 4004 and 4096;
+# key rows of the whole budget, counted as two grids, peak at 1.16 MB
+# at q = 4004.
+CHUNK_CELLS = 1 << 15
 
 
 def _lattice_row(p1: int, p2: int, q: int) -> tuple[int, int, int]:
@@ -178,10 +185,18 @@ def multiplicity_rows(pairs, q: int, kmax: int) -> np.ndarray:
     # An even width holds kmax + 1 degrees and a spare column.
     width = kmax + 2 + kmax % 2
     out = np.empty((len(setup), width), np.int64)
-    chunk = max(1, ROW_CHUNK_CELLS // (2 * (kmax + 1)))
+    chunk = rows_per_slice(kmax)
     for lo in range(0, len(setup), chunk):
         _count_rows(setup[lo : lo + chunk], q, out[lo : lo + chunk])
     return out[:, : kmax + 1]
+
+
+def rows_per_slice(kmax: int) -> int:
+    """Rows of degrees 0..kmax that :func:`multiplicity_rows` counts in one pass.
+
+    Their (rows, 2, kmax + 1) grid of start points fits CHUNK_CELLS.
+    """
+    return max(1, CHUNK_CELLS // (2 * (kmax + 1)))
 
 
 def _count_rows(setup, q: int, out: np.ndarray) -> None:

@@ -29,7 +29,6 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -187,23 +186,14 @@ def same_heat_expansion(first: LensSpace, second: LensSpace) -> HeatVerdict:
     _check_shape(first, "same_heat_expansion", max_padding=1)
     if first.q != second.q:
         raise ShapeMismatch(f"group orders differ: {first.q} vs {second.q}")
-    key = _heat_key(first)
-    if key is not None and key == _heat_key(second):
-        return HeatVerdict.GUARANTEED_EQUAL
-    if is_isometric(first, second) is not None:
+    # Both spaces as the two rows of one call, in Python integers, so any
+    # order is keyed exactly.  A row the lemma does not cover has a key of
+    # its own, so equal keys are the whole test.
+    p1, p2 = (np.array(col, dtype=object) for col in zip(first.rotations, second.rotations))
+    keys = _heat_keys(first.q, p1, p2)
+    if keys[0] == keys[1] or is_isometric(first, second) is not None:
         return HeatVerdict.GUARANTEED_EQUAL
     return HeatVerdict.UNKNOWN
-
-
-def _heat_key(space: LensSpace) -> Optional[int]:
-    """Matching key of the isotropy lemma for one space, or None where it does not apply.
-
-    The one-row case of :func:`_heat_keys`, in Python integers, so any
-    order is keyed exactly.
-    """
-    p1, p2 = (np.array([p], dtype=object) for p in space.rotations)
-    key = _heat_keys(space.q, p1, p2)[0]
-    return None if key < 0 else key
 
 
 def _heat_keys(q: int, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:

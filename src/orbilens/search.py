@@ -9,17 +9,19 @@ degeneracy sweep.  Every fingerprint is prefix-first: classes are
 counted as blocks of padding-0 multiplicity rows through the prefix
 depth q/2 + 2 (:func:`_prefix_depth`), which separates every pair of
 distinct classes measured so far, in both paddings.  The rigidity keys
-are hashes of those rows, counted a chunk of classes at a time.  Whole
-buckets are counted together in blocks of at most as many rows as the
-largest bucket, and bucket-mates are compared there; only a pair that
-agrees through the prefix is deepened to the certifying depth of
-:func:`orbilens.spectrum.is_isospectral` and compared there, so every
-verdict and first differing degree is exact.  A pair with equal spectra
-is a rigidity finding (an isospectral pair; none are expected), and a
-pair whose spectra differ is a heat-degenerate finding.  All
-C(classes, 2) pairs are decided, but only bucket-mates are compared, so
-an order holds its class columns, one key per class and the prefix rows
-of one block.
+are hashes of those rows, counted one kernel slice of classes at a time.
+Whole buckets are counted together in blocks of at most as many rows as
+the largest bucket, and bucket-mates are compared there, a chunk of
+pairs at a time; only a pair that agrees through the prefix is deepened
+to the certifying depth of :func:`orbilens.spectrum.is_isospectral` and
+compared there, so every verdict and first differing degree is exact.
+A pair with equal spectra is a rigidity finding (an isospectral pair;
+none are expected), and a pair whose spectra differ is a heat-degenerate
+finding.  All C(classes, 2) pairs are decided, but only bucket-mates
+are compared, so an order holds its class columns, one key per class
+and the prefix rows of one block.  Every counting grid, key slice and
+chunk of comparisons fits the one memory budget
+:data:`orbilens._kernels.CHUNK_CELLS`, read at call time.
 Orders are independent work units, swept one at a time in ascending
 order.  Each yields a :class:`PerQ` row and its :class:`Findings`: int64
 columns (i, j, k) over the :class:`~orbilens.core.LensSpace` of each
@@ -44,7 +46,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from ._kernels import multiplicity_rows
+from . import _kernels
 from .core import MAX_UNIT_ORDER, LensSpace, _integer, _order
 from .errors import PreconditionViolated
 from .heat import HeatVerdict, _heat_keys
@@ -76,17 +78,6 @@ SMALL_Q_LIMIT = 8
 # classes takes 6.6 MiB of prefix rows (q/2 + 3 wide) while its 202 872
 # findings are held as three int64 columns (4.6 MiB).
 MAX_SWEEP_ORDER = 4096
-
-# Cells of the block of prefix rows counted at once for rigidity keys
-# (128 KiB).  Blocks of 2^13 to 2^16 cells counted the keys of an order
-# equally fast at q = 400, 1024, 2048 and 4004.  With this block a
-# rigidity order's traced peak stays below 1 MiB at q = 720, 1024, 2048,
-# 4004 and 4096.
-KEY_CHUNK_CELLS = 1 << 14
-
-# Cells of prefix rows compared at once in a block of buckets (256 KiB of
-# int64 on each side of the pairs).
-PAIR_CHUNK_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -258,14 +249,13 @@ def _check_range(qmin: int, qmax: int, padding: int) -> None:
 
 def _sweep_order(q: int, padding: int, mode: str) -> tuple[PerQ, Findings]:
     # Classes are bucketed by the mode's keys, and only bucket-mates are
-    # compared, exactly, so a key collision cannot make a finding.  An
-    # order of one class takes no keys.  Heat findings share a matching
-    # key, so their heat expansions are equal by the isotropy lemma.
+    # compared, exactly, so a key collision cannot make a finding.  Heat
+    # findings share a matching key, so their heat expansions are equal by
+    # the isotropy lemma.
     keys, isospectral = SWEEP_MODES[mode]
     p1, p2, spaces = _class_columns(q)
     count = len(p1)
-    i, j, k = _findings(q, p1, p2, padding, keys(q, p1, p2), isospectral) \
-        if count > 1 else (np.zeros(0, np.int64),) * 3
+    i, j, k = _findings(q, p1, p2, padding, keys(q, p1, p2), isospectral)
     used = np.zeros(count, bool)
     used[i] = used[j] = True
     rotations = zip(p1[used].tolist(), p2[used].tolist())
@@ -295,7 +285,7 @@ def _prefix_rows(q: int, p1: np.ndarray, p2: np.ndarray, depth: int) -> np.ndarr
     padding-0 rows agree through a degree exactly when their rows at
     any padding do, and first differ at the same degree.
     """
-    return multiplicity_rows(zip(p1.tolist(), p2.tolist()), q, depth)
+    return _kernels.multiplicity_rows(zip(p1.tolist(), p2.tolist()), q, depth)
 
 
 def _findings(q, p1, p2, padding, keys, isospectral):
@@ -333,8 +323,9 @@ def _block_findings(q, p1, p2, padding, members, sizes, isospectral):
 
     ``members`` holds the block's classes, bucket after bucket of the
     given sizes.  Their prefix rows are counted as one block, and
-    every pair of bucket-mates is compared there, a chunk of pairs at a
-    time: a pair that differs there first differs where its rows do.
+    every pair of bucket-mates is compared there, a chunk of pairs whose
+    rows fill CHUNK_CELLS at a time: a pair that differs there first
+    differs where its rows do.
     Only a pair that agrees through the prefix is deepened: both spectra
     through the certifying depth of is_isospectral, each computed once
     per block.  The k of an isospectral pair is -1.
@@ -345,7 +336,7 @@ def _block_findings(q, p1, p2, padding, members, sizes, isospectral):
     a = np.repeat(np.arange(len(members)), later)
     b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(later) - later, later)
     k = np.empty(len(a), np.int64)
-    step = max(1, PAIR_CHUNK_CELLS // rows.shape[1])
+    step = max(1, _kernels.CHUNK_CELLS // rows.shape[1])
     for lo in range(0, len(a), step):
         differ = rows[a[lo : lo + step]] != rows[b[lo : lo + step]]
         first = differ.argmax(axis=1)
@@ -367,11 +358,12 @@ def _block_findings(q, p1, p2, padding, members, sizes, isospectral):
 def _prefix_keys(q: int, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
     """Rigidity keys: the hash of each class's padding-0 prefix row.
 
-    Classes are counted a block of KEY_CHUNK_CELLS at a time, so an
-    order holds one block's rows and one int64 key per class.
+    Classes are counted one kernel slice at a time
+    (:func:`orbilens._kernels.rows_per_slice`), so an order holds one
+    slice's rows and one int64 key per class.
     """
     depth = _prefix_depth(q)
-    chunk = max(1, KEY_CHUNK_CELLS // (depth + 1))
+    chunk = _kernels.rows_per_slice(depth)
     keys = np.empty(len(p1), np.int64)
     for lo in range(0, len(p1), chunk):
         rows = _prefix_rows(q, p1[lo : lo + chunk], p2[lo : lo + chunk], depth)

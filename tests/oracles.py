@@ -2,8 +2,9 @@
 
 Everything here recomputes results from first principles with code
 disjoint from the library: raw tuple enumeration instead of the DP
-kernel, literal orbit loops instead of the folded scan, and numeric
-limits instead of closed forms.
+kernel, literal orbit loops instead of the folded scan, a class count
+by Burnside's lemma instead of enumeration, and numeric limits instead
+of closed forms.
 """
 
 from __future__ import annotations
@@ -189,6 +190,49 @@ def marking_classes(q: int) -> tuple[list[tuple[int, int]], list[int]]:
         # The units form an abelian group, so every cell of the orbit is
         # reached by as many units as the representative's own cell.
         sizes.append(int(pairs[cells].sum()) // int(np.count_nonzero(cells == at)))
+
+
+def burnside_classes(q: int) -> int:
+    """Two-block isometry classes of order q, counted by Burnside's lemma.
+
+    G = (units l mod q) x {+-1}^2 x S_2, of order 8 phi(q), acts on the
+    pairs (p1, p2) of Z_q^2 with gcd(p1, p2, q) = 1.  Its orbits are the
+    classes and, for q > 1, the one orbit of the pairs with a zero entry.
+    Every count below is multiplicative over the prime powers p^k of q.
+
+    - (l, s1, s2) fixes the pairs of H1 x H2, H_i the kernel of s_i l - 1,
+      with gcd 1: a Moebius sum over d | q of |H1 ∩ dZ_q| |H2 ∩ dZ_q|.
+      At p^k that is |H1| |H2| - |H1 ∩ pZ| |H2 ∩ pZ|, which is 0 unless
+      l = s1 or l = s2 makes H1 or H2 the whole group.  So summed over l,
+      equal signs fix J_2(q) = q^2 prod (1 - p^-2) pairs, and opposite
+      signs the product of 2 phi(p^k) at odd p, 3 at q = 2 and 2^(k + 1)
+      at 2^k, k >= 2.
+    - With the swap, (l, s1, s2) fixes the phi(q) pairs (s1 l p2, p2),
+      p2 a unit, when s1 s2 l^2 = 1 mod q, and none otherwise.
+    """
+    j2 = phi = opposite = roots_1 = roots_minus_1 = 1
+    rest = q
+    for p in range(2, q + 1):
+        k = 0
+        while rest % p == 0:
+            rest //= p
+            k += 1
+        if not k:
+            continue
+        pk = p**k
+        j2 *= pk * pk - pk * pk // (p * p)
+        phi *= pk - pk // p
+        if p > 2:
+            opposite *= 2 * (pk - pk // p)
+            roots_1 *= 2
+            roots_minus_1 *= 2 if p % 4 == 1 else 0
+        else:
+            opposite *= 3 if k == 1 else 2 * pk
+            roots_1 *= min(2 ** (k - 1), 4)
+            roots_minus_1 *= 1 if k == 1 else 0
+    # 2 J_2 + 2 opposite + 2 phi (roots of 1 + roots of -1), over 8 phi.
+    orbits = (j2 + opposite + phi * (roots_1 + roots_minus_1)) // (4 * phi)
+    return orbits - (q > 1)
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,11 @@ from orbilens.heat import (
     csc2_sum,
     csc4_sum,
     heat_expansion_3d,
-    _heat_key,
+    _heat_keys,
     same_heat_expansion,
     stratum_b01,
 )
-from orbilens.search import isometry_classes
+from orbilens.search import _class_columns, isometry_classes
 
 from conftest import reduced_spaces
 
@@ -243,12 +243,12 @@ class TestSameHeatExpansion:
 
         for q in range(1, 41):
             classes, _ = isometry_classes(q, padding)
-            keys = [_heat_key(c) for c in classes]
+            keys = _heat_keys(q, *_class_columns(q)[:2])
             for i, a in enumerate(classes):
                 for j in range(i + 1, len(classes)):
                     b = classes[j]
                     assert is_isometric(a, b) is None, (a, b)
-                    by_key = keys[i] is not None and keys[i] == keys[j]
+                    by_key = keys[i] == keys[j]
                     verdict = same_heat_expansion(a, b)
                     assert by_key == (verdict is HeatVerdict.GUARANTEED_EQUAL), (a, b)
                     assert by_key == lemma_matches(a, b), (a, b)

@@ -229,7 +229,7 @@ def test_block_rows_equal_single_spaces_on_seeded_sample(monkeypatch):
                 pairs.append((p1, p2))
         kmax = q // 2 + 2
         block = _kernels.multiplicity_rows(pairs, q, kmax)
-        monkeypatch.setattr(_kernels, "ROW_CHUNK_CELLS", 3 * 2 * (kmax + 1))
+        monkeypatch.setattr(_kernels, "CHUNK_CELLS", 3 * 2 * (kmax + 1))
         assert np.array_equal(_kernels.multiplicity_rows(pairs, q, kmax), block)
         monkeypatch.undo()
         for pair, row in zip(pairs, block):

@@ -13,10 +13,10 @@ from math import comb
 import numpy as np
 import pytest
 
-from orbilens import cli, records, search
+from orbilens import _kernels, cli, records, search
 from orbilens.core import MAX_UNIT_ORDER, LensSpace, canonical_form, is_isometric, sphere
 from orbilens.errors import PreconditionViolated
-from orbilens.heat import HeatVerdict, _heat_key, same_heat_expansion
+from orbilens.heat import HeatVerdict, _heat_keys, same_heat_expansion
 from orbilens.search import (
     MAX_SWEEP_ORDER,
     SMALL_Q_LIMIT,
@@ -98,6 +98,12 @@ class TestEnumerate:
             p1, p2, spaces = search._class_columns(q)
             assert list(zip(p1.tolist(), p2.tolist())) == reps, q
             assert sum(sizes) == spaces, q
+
+    # The closed-form count of Burnside's lemma, at every order to 1024
+    # and at the sweep's largest orders.
+    def test_class_count_matches_burnside(self):
+        for q in [*range(1, 1025), 2310, 3990, 4004, 4096]:
+            assert len(search._class_columns(q)[0]) == oracles.burnside_classes(q), q
 
     def test_order_above_unit_limit_refused(self):
         with pytest.raises(PreconditionViolated, match="unit-orbit limit"):
@@ -440,25 +446,25 @@ def traced_peak(run):
 
 class TestSweepMemory:
     # A rigidity order holds its class columns, one int64 key per class,
-    # and the prefix rows of one key chunk with their counting scratch.
-    # Its traced peak stays within 16 chunks of int64 cells (2 MiB) at
-    # any order; one prefix row per class is 32 MB at q = 4004 (2027
-    # classes, 2005 degrees).
-    PEAK = 16 * 8 * search.KEY_CHUNK_CELLS
+    # and the prefix rows of one key slice with their counting grid.
+    # Its traced peak stays within 8 memory budgets of int64 cells
+    # (2 MiB) at any order; one prefix row per class is 32 MB at
+    # q = 4004 (2027 classes, 2005 degrees).
+    PEAK = 8 * 8 * _kernels.CHUNK_CELLS
 
     @pytest.mark.parametrize("q", [720, 1024, 4004])
     def test_rigidity_order_holds_no_fingerprint_per_class(self, q):
         assert traced_peak(lambda: list(sweep_stream("rigidity", q, q))) < self.PEAK
 
     def test_peak_bound_fails_an_order_that_keeps_every_row(self, monkeypatch):
-        # One key chunk as large as the order: every class's row at once.
-        monkeypatch.setattr(search, "KEY_CHUNK_CELLS", 1 << 40)
+        # One key slice as large as the order: every class's row at once.
+        monkeypatch.setattr(_kernels, "CHUNK_CELLS", 1 << 40)
         assert traced_peak(lambda: list(sweep_stream("rigidity", 4004, 4004))) > self.PEAK
 
     @pytest.mark.parametrize("q,largest", [(195, 24), (360, 24), (720, 48)])
     def test_heat_order_holds_one_bucket_of_fingerprints(self, q, largest, monkeypatch):
-        buckets = Counter(_heat_key(c) for c in isometry_classes(q)[0])
-        del buckets[None]
+        keys = _heat_keys(q, *search._class_columns(q)[:2])
+        buckets = Counter(keys[keys >= 0].tolist())
         assert max(buckets.values()) == largest
         alive, most = [], 0
 
@@ -479,13 +485,13 @@ class TestSweepMemory:
 
     # The order holds one block of prefix rows, int64 and at most the
     # largest bucket's (q/2 + 3 wide), and one chunk of pair comparisons
-    # (PAIR_CHUNK_CELLS cells of each side and their bool difference).
+    # (CHUNK_CELLS cells of each side and their bool difference).
     # At these orders both fit within 9 bytes per cell of the largest
     # bucket's (4q + 3)-wide rows.
     @pytest.mark.parametrize("q", [720, 1024])
     def test_heat_order_peak_within_one_bucket_matrix(self, q):
-        buckets = Counter(_heat_key(c) for c in isometry_classes(q)[0])
-        del buckets[None]
+        keys = _heat_keys(q, *search._class_columns(q)[:2])
+        buckets = Counter(keys[keys >= 0].tolist())
         largest = max(buckets.values())
         enumeration = traced_peak(lambda: isometry_classes(q))
         sweep = traced_peak(lambda: list(sweep_stream("heat-degenerate", q, q)))
