@@ -45,8 +45,9 @@ __all__ = [
     "MAX_UNIT_ORDER",
 ]
 
-# Largest q whose unit orbit is built: one isometry query at this order
-# takes about 0.5 s and 85 MB peak RSS (2 CPUs, numpy backend).
+# Largest q whose unit orbit is built.  One isometry query at this order,
+# `isometric 1048576 3 5 --format json-lines -- 5 7`, takes 0.33-0.38 s
+# and peaks at 58.1 MB RSS (tools/peak_rss.py, 2 CPUs, numpy backend).
 MAX_UNIT_ORDER = 1 << 20
 
 
@@ -193,30 +194,34 @@ def sphere(n: int = 2, padding: int = 0) -> LensSpace:
     return LensSpace(1, (0,) * n, padding)
 
 
-def units(q: int) -> list[int]:
-    """Multiplicative units mod q (as representatives 1..q)."""
+def _units(q: int) -> np.ndarray:
+    """Multiplicative units mod q, ascending in 1..q, as one int64 array.
+
+    The one listing of the unit group: an order above MAX_UNIT_ORDER is
+    refused before anything of size q is allocated.
+    """
     q = _order(q)
     if q > MAX_UNIT_ORDER:
-        raise PreconditionViolated(
-            f"order {q} exceeds the unit-orbit limit of {MAX_UNIT_ORDER}"
-        )
-    return [l for l in range(1, q + 1) if math.gcd(l, q) == 1]
+        raise PreconditionViolated(f"order {q} exceeds the unit-orbit limit of {MAX_UNIT_ORDER}")
+    x = np.arange(1, q + 1, dtype=np.int64)
+    return x[np.gcd(x, q) == 1]
 
 
-def _folded_orbit(space: LensSpace, ls: Optional[np.ndarray] = None) -> list[np.ndarray]:
-    """Sign-folded residues min(l p mod q, q - l p mod q) over the units l.
+def units(q: int) -> list[int]:
+    """Multiplicative units mod q (as representatives 1..q), ascending."""
+    return _units(q).tolist()
 
-    One int64 array per rotation p, indexed like ``ls``, which defaults
-    to ``units(space.q)`` in ascending order.
+
+def _folded_orbit(space: LensSpace) -> tuple[np.ndarray, np.ndarray]:
+    """The units l mod q, ascending, and their sign-folded rotation rows.
+
+    Row i of the (phi(q), n) matrix holds min(x, q - x) for x = l_i p mod q
+    over the rotations p, in the descriptor's order.
     """
     q = space.q
-    if ls is None:
-        ls = np.asarray(units(q), dtype=np.int64)
-    folded = []
-    for p in space.rotations:
-        x = ls * p % q
-        folded.append(np.minimum(x, q - x))
-    return folded
+    ls = _units(q)
+    x = ls[:, None] * np.array(space.rotations, np.int64) % q
+    return ls, np.minimum(x, q - x)
 
 
 def _check_shape(space: LensSpace, what: str, two_blocks=True, max_padding=None) -> None:
@@ -257,8 +262,7 @@ def is_isometric(first: LensSpace, second: LensSpace) -> Optional[IsometryWitnes
     if first.q != second.q:
         return None
     q = first.q
-    ls = np.asarray(units(q), dtype=np.int64)
-    folded = np.column_stack(_folded_orbit(first, ls))
+    ls, folded = _folded_orbit(first)
     target = np.array([min(p, q - p) for p in second.rotations])
     hits = np.flatnonzero((np.sort(folded, axis=1) == np.sort(target)).all(axis=1))
     if not hits.size:
@@ -288,7 +292,7 @@ def canonical_form(space: LensSpace) -> LensSpace:
     sorted sign-folded rows.  Two descriptors are isometric iff their
     canonical forms are equal.
     """
-    rows = np.sort(np.column_stack(_folded_orbit(space)), axis=1)
+    rows = np.sort(_folded_orbit(space)[1], axis=1)
     best = rows[np.lexsort(rows.T[::-1])[0]]
     return LensSpace(space.q, tuple(best.tolist()), space.padding)
 

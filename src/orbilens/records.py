@@ -16,7 +16,7 @@ from ._version import __version__
 from .core import IsometryWitness, LensSpace
 from .heat import HeatExpansion, HeatTerm
 from .search import SMALL_Q_LIMIT, PairReport, PerQ, SweepSummary
-from .spectrum import IsospectralDecision, SpectrumRow, SpectrumTable
+from .spectrum import IsospectralDecision, SpectrumTable
 
 
 def fraction_str(x: Fraction) -> str:
@@ -41,14 +41,11 @@ def decision_record(d: IsospectralDecision) -> dict:
     return dict(vars(d))
 
 
-def spectrum_row_record(row: SpectrumRow) -> dict:
-    return dict(vars(row))
-
-
 def spectrum_table_record(table: SpectrumTable) -> dict:
+    columns = enumerate(zip(table.eigenvalues, table.multiplicities))
     return {
         "space": lens_record(table.space),
-        "rows": [spectrum_row_record(r) for r in table.rows],
+        "rows": [{"k": k, "eigenvalue": e, "multiplicity": m} for k, (e, m) in columns],
     }
 
 

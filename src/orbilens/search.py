@@ -47,7 +47,7 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from . import _kernels
-from .core import MAX_UNIT_ORDER, LensSpace, _integer, _order
+from .core import LensSpace, _integer, _order, _units
 from .errors import PreconditionViolated
 from .heat import HeatVerdict, _heat_keys
 from .spectrum import isospectral_bound, multiplicity_series
@@ -161,8 +161,6 @@ def isometry_classes(q: int, padding: int = 0) -> tuple[list[LensSpace], int]:
     ascending order, each the :func:`canonical_form` of its class.
     """
     q = _order(q)
-    if q > MAX_UNIT_ORDER:
-        raise PreconditionViolated(f"order {q} exceeds the unit-orbit limit of {MAX_UNIT_ORDER}")
     p1, p2, spaces = _class_columns(q)
     return [LensSpace(q, rots, padding) for rots in zip(p1.tolist(), p2.tolist())], spaces
 
@@ -174,51 +172,50 @@ def _class_columns(q: int) -> tuple[np.ndarray, np.ndarray, int]:
     canonical form is its least sorted row of folded residues
     fold(x) = min(x, q - x).  With a = gcd(p1, q) and b = gcd(p2, q),
     which are coprime and the same for every member, its least entry is
-    min(a, b): the rotation of that gcd scales to it.
+    min(a, b): the rotation of that gcd scales to it.  The order's units
+    come from :func:`orbilens.core._units`, which refuses an order above
+    MAX_UNIT_ORDER before anything of size q is allocated.  There are
+    two cases:
 
-    - A class with a unit rotation scales it to 1, so it is (1, x) with
-      x <= q/2.  The only other rows that start with 1 come from x^-1
-      when x is a unit, so (1, x) is canonical iff x <= fold(x^-1).
-    - Otherwise 1 < a < b, and the units that keep a up to sign are
+    - Both rotations are units.  The class scales one to 1, so it is
+      (1, x) with x a unit and x <= q/2.  The only other such rows come
+      from x^-1, so (1, x) is canonical iff x <= fold(x^-1).
+    - Otherwise 1 <= a < b, and the units that keep a up to sign are
       those u = +-1 mod q/a.  On y = b z they act through z mod m = q/b
       as the units of Z_m that are +-1 mod n = m/a, whose orbits are the
       units z of Z_m with equal fold(z mod n).  The canonical y is b
-      times the least z of each such label.
+      times the least z of each such label.  At a = 1 those units are
+      +-1 mod q, so every unit z <= m/2 is its own label.
     """
     if q == 1:
         zero = np.zeros(1, np.int64)
         return zero, zero, 1
-    x = np.arange(1, q, dtype=np.int64)
-    is_unit = np.gcd(x, q) == 1
-    half, half_unit = x[: q // 2], is_unit[: q // 2]
-    u = half[half_unit]
+    units = _units(q)
+    u = units[units <= q // 2]
     inv = np.array([pow(v, -1, q) for v in u.tolist()], np.int64)
-    keep = ~half_unit
-    keep[u - 1] = u <= np.minimum(inv, q - inv)
-    firsts, seconds = [np.ones(int(keep.sum()), np.int64)], [half[keep]]
-    divisors = x[1:][q % x[1:] == 0]
+    u = u[u <= np.minimum(inv, q - inv)]
+    x = np.arange(1, q, dtype=np.int64)
+    divisors = x[q % x == 0]
     at, bt = np.nonzero((divisors[:, None] < divisors) & (np.gcd.outer(divisors, divisors) == 1))
-    if at.size:
-        a, b = divisors[at], divisors[bt]
-        m = q // b
-        n = m // a
-        # z = 1 .. m/2 for each (a, b); every label's least z is at most m/2.
-        length = m // 2
-        row = np.repeat(np.arange(len(a)), length)
-        z = np.arange(len(row)) - np.repeat(np.cumsum(length) - length, length) + 1
-        coprime = np.gcd(z, m[row]) == 1
-        row, z = row[coprime], z[coprime]
-        r = z % n[row]
-        labels = n // 2 + 1
-        label = np.minimum(r, n[row] - r) + (np.cumsum(labels) - labels)[row]
-        least = np.full(int(labels.sum()), q, np.int64)
-        np.minimum.at(least, label, z)
-        pick = least[label] == z
-        firsts.append(a[row[pick]])
-        seconds.append(b[row[pick]] * z[pick])
-    p1, p2 = np.concatenate(firsts), np.concatenate(seconds)
+    a, b = divisors[at], divisors[bt]
+    m = q // b
+    n = m // a
+    # z = 1 .. m/2 for each (a, b); every label's least z is at most m/2.
+    length = m // 2
+    row = np.repeat(np.arange(len(a)), length)
+    z = np.arange(len(row)) - np.repeat(np.cumsum(length) - length, length) + 1
+    coprime = np.gcd(z, m[row]) == 1
+    row, z = row[coprime], z[coprime]
+    r = z % n[row]
+    labels = n // 2 + 1
+    label = np.minimum(r, n[row] - r) + (np.cumsum(labels) - labels)[row]
+    least = np.full(int(labels.sum()), q, np.int64)
+    np.minimum.at(least, label, z)
+    pick = least[label] == z
+    p1 = np.concatenate((np.ones(len(u), np.int64), a[row[pick]]))
+    p2 = np.concatenate((u, b[row[pick]] * z[pick]))
     order = np.lexsort((p2, p1))
-    return p1[order], p2[order], _reduced_pair_count(q, int(is_unit.sum()))
+    return p1[order], p2[order], _reduced_pair_count(q, len(units))
 
 
 def _reduced_pair_count(q: int, phi: int) -> int:
@@ -226,13 +223,18 @@ def _reduced_pair_count(q: int, phi: int) -> int:
 
     Of the J_2(q) = q^2 prod_{p | q} (1 - p^-2) pairs in Z_q^2 with gcd 1
     (Jordan's totient), 2 phi(q) have a zero entry and phi(q) are diagonal.
+    The primes of q are found by trial division up to the square root of
+    what is left of q; a remainder above 1 is the last prime.
     """
-    j2, rest = q * q, q
-    for p in range(2, q + 1):
+    j2, rest, p = q * q, q, 2
+    while p * p <= rest:
         if rest % p == 0:
             j2 -= j2 // (p * p)
             while rest % p == 0:
                 rest //= p
+        p += 1
+    if rest > 1:
+        j2 -= j2 // (rest * rest)
     return (j2 - phi) // 2
 
 

@@ -65,7 +65,9 @@ class TestSpectrumCommand:
         assert env["command"] == "spectrum" and env["version"]
         table = spectrum_table(reduce(9, [1, 3]), 6)
         assert LensSpace(**env["result"]["space"]) == table.space
-        assert env["result"]["rows"] == [asdict(row) for row in table.rows]
+        columns = enumerate(zip(table.eigenvalues, table.multiplicities))
+        rows = [{"k": k, "eigenvalue": e, "multiplicity": m} for k, (e, m) in columns]
+        assert env["result"]["rows"] == rows
 
     def test_csv(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "2", "1", "1", "--format", "csv", "--kmax", "2")

@@ -218,13 +218,17 @@ class TestUnitLimit:
         def refuse(*args):
             raise AssertionError("the unit orbit was built")
 
-        monkeypatch.setattr(math, "gcd", refuse)
+        monkeypatch.setattr(np, "gcd", refuse)
         for call in (lambda: units(q), lambda: is_isometric(a, b), lambda: canonical_form(a)):
             with pytest.raises(PreconditionViolated, match="unit-orbit limit"):
                 call()
 
     def test_orbit_at_limit_is_built(self):
         assert units(MAX_UNIT_ORDER)[:3] == [1, 3, 5]
+
+    def test_units_equal_the_gcd_filtered_orders(self):
+        for q in range(1, 1001):
+            assert units(q) == [x for x in range(1, q + 1) if math.gcd(x, q) == 1], q
 
 
 @pytest.mark.parametrize(

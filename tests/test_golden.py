@@ -357,7 +357,7 @@ PACKAGE_NAMES = (
     "GeneratingFunction", "HeatCoefficient", "HeatExpansion", "HeatTerm",
     "HeatVerdict", "IsometryWitness", "IsospectralDecision", "LensSpace",
     "PairReport", "PerQ", "ResidueProfile", "SingularDecomposition",
-    "SpectrumRow", "SpectrumTable", "StratumTerm", "SweepSummary",
+    "SpectrumTable", "StratumTerm", "SweepSummary",
     "apply_witness", "canonical_form", "core", "csc2_sum", "csc4_sum",
     "decompose_singular", "eigenvalue", "errors", "evaluate_F",
     "find_heat_degenerate", "generating_function", "heat",

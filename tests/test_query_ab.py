@@ -38,6 +38,12 @@ def test_same_tree_twice_agrees_and_alternates(tmp_path):
     assert len({w["sha256"] for w in workers}) == 1
     assert all(w["p50_ms"] > 0 for w in workers)
     assert summary["identical"] and summary["rounds"] == 2
+    # Every command kind of the stream is timed on its own.
+    kinds = {"heat", "isometric", "isospectral", "spectrum"}
+    for by_kind in [w["p50_ms_by_kind"] for w in workers] + [
+        summary[f"{tree}_p50_ms_by_kind"] for tree in ("parent", "change")
+    ]:
+        assert set(by_kind) == kinds and all(p50 > 0 for p50 in by_kind.values())
 
 
 def test_differing_outputs_exit_1(tmp_path):

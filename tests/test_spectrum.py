@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 from fractions import Fraction
 from itertools import accumulate
 
@@ -20,6 +21,7 @@ from orbilens.errors import (
 from orbilens.search import isometry_classes
 from orbilens.spectrum import (
     MAX_TABLE_ROWS,
+    eigenvalue,
     evaluate_F,
     generating_function,
     is_isospectral,
@@ -110,21 +112,34 @@ class TestMultiplicity:
 class TestSpectrumTable:
     def test_eigenvalue_ladder_3d(self):
         table = spectrum_table(reduce(7, [1, 2]), 5)
-        for row in table.rows:
-            assert row.eigenvalue == row.k * (row.k + 2)
+        assert table.eigenvalues == tuple(k * (k + 2) for k in range(6))
 
     def test_eigenvalue_ladder_4d(self):
         table = spectrum_table(reduce(7, [1, 2], 1), 5)
-        for row in table.rows:
-            assert row.eigenvalue == row.k * (row.k + 3)
+        assert table.eigenvalues == tuple(k * (k + 3) for k in range(6))
 
     def test_zero_rows_retained(self):
         table = spectrum_table(reduce(2, [1, 1]), 3)
-        assert [r.multiplicity for r in table.rows] == [1, 0, 9, 0]
+        assert table.multiplicities == (1, 0, 9, 0)
 
     def test_single_row(self):
         table = spectrum_table(reduce(195, [3, 5]), 0)
-        assert table.rows == (type(table.rows[0])(0, 0, 1),)
+        assert (table.eigenvalues, table.multiplicities) == ((0,), (1,))
+
+    # The columns are the kernel's series and the eigenvalue formula, as
+    # Python ints, for one to three blocks, paddings 0 to 2 and a padding
+    # above kmax, which takes the kernel's convolution path.
+    def test_columns_equal_series_and_eigenvalues(self):
+        rng = random.Random(29)
+        cases = [(n, w, rng.randrange(0, 40)) for n in (1, 2, 3) for w in (0, 1, 2)]
+        cases.append((2, 50, 12))
+        for n, padding, kmax in cases:
+            q = rng.randrange(2, 60)
+            space = LensSpace(q, (1, *(rng.randrange(1, q) for _ in range(n - 1))), padding)
+            table = spectrum_table(space, kmax)
+            assert table.multiplicities == tuple(multiplicity_series(space, kmax).tolist())
+            assert table.eigenvalues == tuple(eigenvalue(space, k) for k in range(kmax + 1))
+            assert {type(x) for x in table.eigenvalues + table.multiplicities} == {int}
 
     def test_row_limit_refused_before_counting(self, monkeypatch):
         def refuse(*args):

@@ -12,10 +12,11 @@ from its checkout's ``src`` alone (it is this script, run as
 ``orbilens.cli.main``, timing each call.
 
 One JSON line is printed per worker: its round, tree, p50 latency in ms,
-total seconds, and the sha256 of its outputs (each command's exit code,
-stdout and stderr, in order).  A last line gives each tree's median p50
-over the rounds, the rounds the change was faster, and whether every
-output hash agreed.  The exit code is 1 if the trees' outputs differ,
+the p50 of each command kind (the subcommand: spectrum, isospectral,
+isometric, heat), total seconds, and the sha256 of its outputs (each
+command's exit code, stdout and stderr, in order).  A last line gives
+each tree's median p50 over the rounds, and each kind's, the rounds the
+change was faster, and whether every output hash agreed.  The exit code is 1 if the trees' outputs differ,
 0 otherwise.
 """
 
@@ -44,16 +45,19 @@ def serve(src: str) -> dict:
     if not Path(orbilens.cli.__file__).resolve().is_relative_to(Path(src).resolve()):
         raise SystemExit(f"imported orbilens from {orbilens.cli.__file__}, not {src}")
     digest = hashlib.sha256()
-    latencies = []
+    latencies, by_kind = [], {}
     for argv in json.load(sys.stdin):
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             started = time.perf_counter()
             code = orbilens.cli.main(argv)
             latencies.append(time.perf_counter() - started)
+        by_kind.setdefault(argv[0], []).append(latencies[-1])
         digest.update(json.dumps([code, out.getvalue(), err.getvalue()]).encode() + b"\n")
     return {
         "p50_ms": round(statistics.median(latencies) * 1000, 4),
+        "p50_ms_by_kind": {kind: round(statistics.median(times) * 1000, 4)
+                           for kind, times in sorted(by_kind.items())},
         "total_s": round(sum(latencies), 3),
         "sha256": digest.hexdigest(),
     }
@@ -86,18 +90,23 @@ def main(argv=None) -> int:
 
     commands = json.dumps(query_stream(args.seed, args.count)).encode()
     p50s = {tree: [] for tree in TREES}
+    kinds = {tree: {} for tree in TREES}
     hashes = set()
     for rnd in range(args.rounds):
         order = TREES if rnd % 2 == 0 else TREES[::-1]
         for tree in order:
             report = run_worker(getattr(args, tree), commands)
             p50s[tree].append(report["p50_ms"])
+            for kind, p50 in report["p50_ms_by_kind"].items():
+                kinds[tree].setdefault(kind, []).append(p50)
             hashes.add(report["sha256"])
             print(json.dumps({"round": rnd, "tree": tree, **report}), flush=True)
     identical = len(hashes) == 1
     print(json.dumps({
         "parent_p50_ms": statistics.median(p50s["parent"]),
         "change_p50_ms": statistics.median(p50s["change"]),
+        **{f"{tree}_p50_ms_by_kind": {kind: statistics.median(v) for kind, v in kinds[tree].items()}
+           for tree in TREES},
         "change_faster": sum(c < p for p, c in zip(p50s["parent"], p50s["change"])),
         "rounds": args.rounds,
         "identical": identical,
